@@ -45,7 +45,7 @@
 //! ```
 //!
 //! Default scales are laptop-sized; `--scale` multiplies every dataset size
-//! and `--snapshots` overrides the number of rounds (see EXPERIMENTS.md).
+//! and `--snapshots` overrides the number of rounds.
 //!
 //! `--telemetry <path>` works on every subcommand: it turns recording on
 //! for the run and writes the final registry snapshot (the same stable JSON

@@ -8,8 +8,7 @@
 //! use, how to replay a dynamic workload through every competing method and
 //! time each round — and the `experiments` binary plus the Criterion benches
 //! are thin drivers over it.  Default scales are laptop-sized; every scenario
-//! accepts a scale factor so larger runs only need a flag (see
-//! `EXPERIMENTS.md`).
+//! accepts a scale factor so larger runs only need a flag.
 
 #![deny(rustdoc::broken_intra_doc_links)]
 

@@ -14,8 +14,8 @@ use dc_similarity::{GraphConfig, SimilarityGraph};
 use dc_types::{Clustering, Dataset};
 use std::sync::Arc;
 
-/// The five dataset families of Table 1 (each a synthetic stand-in, see
-/// DESIGN.md for the substitution rationale).
+/// The five dataset families of Table 1 (each a synthetic stand-in from
+/// `dc-datagen`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DatasetFamily {
     /// Cora-like citation records (textual, Jaccard).
@@ -54,7 +54,7 @@ impl DatasetFamily {
     }
 
     /// Generate the full dataset at a relative scale (1.0 = the laptop-scale
-    /// default documented in EXPERIMENTS.md).
+    /// default).
     pub fn generate(&self, scale: f64) -> Dataset {
         let s = |base: usize| ((base as f64 * scale).round() as usize).max(4);
         match self {

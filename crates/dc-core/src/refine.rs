@@ -65,7 +65,9 @@ use crate::shard::{parallel_map, ShardConfigError};
 use crate::split::{split_pass, split_pass_scoped};
 use dc_evolution::{merge_features, split_features};
 use dc_similarity::persist::{AggregatesState, GraphState};
-use dc_similarity::{BoundaryIndex, ClusterAggregates, ShardRouter, SimilarityGraph};
+use dc_similarity::{
+    BoundaryIndex, ClusterAggregates, EdgeCheck, ScreenTally, ShardRouter, SimilarityGraph,
+};
 use dc_types::codec::{BinCodec, ByteReader, ByteWriter, CodecError};
 use dc_types::{
     shard_id_base, ClusterId, Clustering, ObjectId, Operation, OperationBatch, MAX_SHARDS,
@@ -298,9 +300,11 @@ impl CrossShardRefiner {
                 pairs.insert((id.min(cand), id.max(cand)));
             }
         }
+        let mut tally = ScreenTally::default();
         for (a, b) in pairs {
-            refiner.compute_cross_pair(a, b)?;
+            refiner.compute_cross_pair(a, b, &mut tally)?;
         }
+        tally.record();
         Ok(refiner)
     }
 
@@ -342,18 +346,23 @@ impl CrossShardRefiner {
     /// lock-step with the mirror; a candidate the mirror no longer holds is
     /// an internal inconsistency surfaced as a typed error (the historical
     /// code `expect`ed "live record" here).
-    fn compute_cross_pair(&mut self, a: ObjectId, b: ObjectId) -> Result<(), ShardConfigError> {
-        let ra = self
+    fn compute_cross_pair(
+        &mut self,
+        a: ObjectId,
+        b: ObjectId,
+        tally: &mut ScreenTally,
+    ) -> Result<(), ShardConfigError> {
+        let pa = self
             .mirror
-            .record(a)
+            .profiled(a)
             .ok_or(ShardConfigError::MirrorRecordMissing { id: a })?;
-        let rb = self
+        let pb = self
             .mirror
-            .record(b)
+            .profiled(b)
             .ok_or(ShardConfigError::MirrorRecordMissing { id: b })?;
-        let sim = self.mirror.raw_similarity(ra, rb);
+        let check = self.mirror.check_edge(pa, pb);
         self.cross_comparisons += 1;
-        if sim >= self.mirror.edge_threshold() && sim > 0.0 {
+        if let Some(sim) = tally.edge(check, self.mirror.edge_threshold()) {
             self.cross.entry(a).or_default().insert(b, sim);
             self.cross.entry(b).or_default().insert(a, sim);
             self.cross_edge_count += 1;
@@ -453,26 +462,36 @@ impl CrossShardRefiner {
                 Pending::Reused { .. } => None,
             })
             .collect();
+        // Both sides are read from the mirror, profiles included; a side it
+        // does not hold has similarity 0.
         let mirror = &self.mirror;
+        let this = mirror.profiled(id);
         let computed = parallel_map(&to_compute, max_threads, |&n| {
-            let other = mirror.record(n).expect("live record");
-            mirror.raw_similarity(record, other)
+            match this.zip(mirror.profiled(n)) {
+                Some((a, b)) => mirror.check_edge(a, b),
+                None => EdgeCheck::Exact(0.0),
+            }
         });
 
+        let threshold = self.mirror.edge_threshold();
+        let mut tally = ScreenTally::default();
         let mut computed = computed.into_iter();
         for pending in plan {
-            let (n, cross, sim) = match pending {
-                Pending::Reused { n, sim } => (n, false, sim),
+            let (n, cross, edge) = match pending {
+                Pending::Reused { n, sim } => (n, false, EdgeCheck::Exact(sim).edge(threshold)),
+                // `parallel_map` yields one check per computed pair.
                 Pending::Compute { n, cross } => (
                     n,
                     cross,
-                    computed.next().expect("one similarity per computed pair"),
+                    computed
+                        .next()
+                        .and_then(|check| tally.edge(check, threshold)),
                 ),
             };
             if cross {
                 self.cross_comparisons += 1;
             }
-            if sim >= self.mirror.edge_threshold() && sim > 0.0 {
+            if let Some(sim) = edge {
                 if cross {
                     self.cross.entry(id).or_default().insert(n, sim);
                     self.cross.entry(n).or_default().insert(id, sim);

@@ -8,9 +8,8 @@
 //! repository, so each is replaced by a generator that produces data with
 //! the same *shape*: the same data type (textual record-linkage data with
 //! duplicate entities, or numeric point clouds with density structure), the
-//! same similarity measure, and configurable scale.  The substitution table
-//! in `DESIGN.md` documents the mapping; every generator embeds ground-truth
-//! entity labels so clustering quality can also be checked against the truth
+//! same similarity measure, and configurable scale.  Every generator embeds
+//! ground-truth entity labels so clustering quality can also be checked against the truth
 //! rather than only against the batch result.
 //!
 //! * [`textual`] — Febrl-like duplicate-record generation (uniform / poisson

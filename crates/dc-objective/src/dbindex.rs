@@ -27,9 +27,9 @@
 //! stored edge are examined, so evaluation is proportional to the number of
 //! edges.  Lower is better.
 //!
-//! This substitution is recorded in `DESIGN.md` (the exact objective used by
-//! the original paper is not published; any DB-index-like objective without
-//! locality/monotonicity exercises the same DynamicC code paths).
+//! This is a substitution: the exact objective used by the original paper is
+//! not published, and any DB-index-like objective without
+//! locality/monotonicity exercises the same DynamicC code paths.
 
 use crate::traits::{DecisionLocality, ObjectiveFunction, ObjectiveKind};
 use dc_similarity::{ClusterAggregates, SimilarityGraph};

@@ -11,10 +11,13 @@
 //!
 //! The graph owns a copy of each object's [`Record`] so that it can compute
 //! similarities for new candidate pairs without holding a borrow of the
-//! [`Dataset`].
+//! [`Dataset`].  When the measure reads text, it also keeps the record's
+//! [`TextProfile`], built once when the record enters and dropped when it
+//! leaves.
 
 use crate::blocking::BlockingStrategy;
-use crate::measures::SimilarityMeasure;
+use crate::measures::{EdgeCheck, ScreenTally, SimilarityMeasure};
+use crate::profile::{ProfiledRecord, TextProfile};
 use dc_types::{Dataset, ObjectId, Operation, OperationBatch, Record};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -105,11 +108,25 @@ impl GraphConfig {
     }
 }
 
+/// A live object: its record and, when the measure reads text, its profile
+/// (boxed, so graphs over measures that read no text pay one pointer).
+#[derive(Clone)]
+struct Entry {
+    record: Record,
+    profile: Option<Box<TextProfile>>,
+}
+
+impl Entry {
+    fn profiled(&self) -> ProfiledRecord<'_> {
+        ProfiledRecord::new(&self.record, self.profile.as_deref())
+    }
+}
+
 /// A dynamically maintained, thresholded, undirected similarity graph.
 #[derive(Clone)]
 pub struct SimilarityGraph {
     config: GraphConfig,
-    records: BTreeMap<ObjectId, Record>,
+    records: BTreeMap<ObjectId, Entry>,
     /// Symmetric adjacency: `adj[a][b] == adj[b][a] == sim(a, b)`.
     adj: BTreeMap<ObjectId, BTreeMap<ObjectId, f64>>,
     edge_count: usize,
@@ -170,7 +187,13 @@ impl SimilarityGraph {
 
     /// The stored record of an object.
     pub fn record(&self, id: ObjectId) -> Option<&Record> {
-        self.records.get(&id)
+        self.records.get(&id).map(|e| &e.record)
+    }
+
+    /// The stored record of an object with its text profile, as the
+    /// measure reads it.
+    pub fn profiled(&self, id: ObjectId) -> Option<ProfiledRecord<'_>> {
+        self.records.get(&id).map(Entry::profiled)
     }
 
     /// All object ids in the graph, in id order.
@@ -210,6 +233,15 @@ impl SimilarityGraph {
     /// (bypassing the threshold and the stored edges).
     pub fn raw_similarity(&self, a: &Record, b: &Record) -> f64 {
         self.config.measure.similarity(a, b)
+    }
+
+    /// Evaluate a pair against the edge threshold with the configured
+    /// measure — the exact similarity, or [`EdgeCheck::Screened`] when a
+    /// cheap bound rules the edge out.  Counts nothing.
+    pub fn check_edge(&self, a: ProfiledRecord<'_>, b: ProfiledRecord<'_>) -> EdgeCheck {
+        self.config
+            .measure
+            .check_edge(a, b, self.config.edge_threshold)
     }
 
     /// The edge threshold.
@@ -281,6 +313,9 @@ impl SimilarityGraph {
         }
         let candidates = self.config.blocking.candidates(&record);
         self.config.blocking.index(id, &record);
+        let entry = self.entry(record);
+        let threshold = self.config.edge_threshold;
+        let mut tally = ScreenTally::default();
         let mut edges: Vec<(ObjectId, f64)> = Vec::new();
         for cand in candidates {
             if cand == id {
@@ -290,12 +325,16 @@ impl SimilarityGraph {
                 continue;
             };
             self.comparisons += 1;
-            let sim = self.config.measure.similarity(&record, other);
-            if sim >= self.config.edge_threshold && sim > 0.0 {
+            let check =
+                self.config
+                    .measure
+                    .check_edge(entry.profiled(), other.profiled(), threshold);
+            if let Some(sim) = tally.edge(check, threshold) {
                 edges.push((cand, sim));
             }
         }
-        self.records.insert(id, record);
+        tally.record();
+        self.records.insert(id, entry);
         self.adj.entry(id).or_default();
         for (other, sim) in edges {
             self.adj.entry(id).or_default().insert(other, sim);
@@ -304,9 +343,19 @@ impl SimilarityGraph {
         }
     }
 
+    /// Wrap a record for storage, profiling it when the measure reads text.
+    fn entry(&self, record: Record) -> Entry {
+        let profile = self
+            .config
+            .measure
+            .reads_text()
+            .then(|| Box::new(TextProfile::of(&record)));
+        Entry { record, profile }
+    }
+
     /// Remove an object and all of its edges.  Unknown ids are ignored.
     pub fn remove_object(&mut self, id: ObjectId) {
-        let Some(record) = self.records.remove(&id) else {
+        let Some(Entry { record, .. }) = self.records.remove(&id) else {
             return;
         };
         self.config.blocking.unindex(id, &record);
@@ -392,7 +441,8 @@ impl SimilarityGraph {
     pub(crate) fn restore_record(&mut self, id: ObjectId, record: Record) -> Option<Record> {
         self.config.blocking.index(id, &record);
         self.adj.entry(id).or_default();
-        self.records.insert(id, record)
+        let entry = self.entry(record);
+        self.records.insert(id, entry).map(|e| e.record)
     }
 
     /// Install a stored edge verbatim (both directions).  Returns false when

@@ -12,6 +12,8 @@
 //!   trigrams, normalized Levenshtein, and a Euclidean-distance-derived
 //!   similarity for numeric records, plus a weighted composite.
 //! * [`text`] — tokenization, character n-grams, and edit distance.
+//! * [`profile`] — the per-record [`TextProfile`] (lowercased text, sorted
+//!   distinct tokens) the textual measures read, built once per record.
 //! * [`blocking`] — sub-quadratic candidate-pair generation (token blocking
 //!   for textual data, grid blocking for numeric data) so that building the
 //!   similarity graph does not require all `n·(n−1)/2` comparisons.
@@ -41,6 +43,7 @@ pub mod fixtures;
 pub mod graph;
 pub mod measures;
 pub mod persist;
+pub mod profile;
 pub mod router;
 pub mod text;
 
@@ -49,8 +52,9 @@ pub use blocking::{BlockingStrategy, GridBlocking, TokenBlocking};
 pub use boundary::BoundaryIndex;
 pub use graph::{GraphConfig, SimilarityGraph};
 pub use measures::{
-    CompositeMeasure, EuclideanSimilarity, JaccardSimilarity, NormalizedLevenshtein,
-    SimilarityMeasure, TrigramCosine,
+    CompositeMeasure, EdgeCheck, EuclideanSimilarity, JaccardSimilarity, NormalizedLevenshtein,
+    ScreenTally, SimilarityMeasure, TrigramCosine,
 };
 pub use persist::{AggregatesState, GraphState};
+pub use profile::{ProfiledRecord, TextProfile};
 pub use router::{RoutedBatch, ShardRouter};

@@ -7,16 +7,134 @@
 //! implemented here behind the [`SimilarityMeasure`] trait; all return values
 //! lie in `[0, 1]`, with `1` meaning identical.
 
+use crate::profile::{ProfiledRecord, TextProfile};
 use crate::text;
 use dc_types::Record;
 
 /// A symmetric pairwise similarity in `[0, 1]`.
+///
+/// [`SimilarityMeasure::similarity`] is the plain entry point.  Graphs call
+/// the thresholded [`SimilarityMeasure::check_edge`] instead, over records
+/// paired with their stored [`TextProfile`]s; it may skip the exact
+/// computation when a cheap [`SimilarityMeasure::upper_bound`] already falls
+/// below the threshold, and otherwise returns the exact value, bit-identical
+/// to `similarity`.
 pub trait SimilarityMeasure: Send + Sync + CloneMeasure {
     /// Similarity between two records; must be symmetric and in `[0, 1]`.
     fn similarity(&self, a: &Record, b: &Record) -> f64;
 
     /// Human-readable name (used in experiment reports).
     fn name(&self) -> &'static str;
+
+    /// Whether the measure reads record text.  Graphs keep a
+    /// [`TextProfile`] per record exactly for the measures that do.
+    fn reads_text(&self) -> bool {
+        false
+    }
+
+    /// The similarity kernel over profiled records; equal to `similarity`
+    /// on the same records, bit for bit.  Textual measures read the
+    /// profiles; the default ignores them.
+    fn profiled_similarity(&self, a: ProfiledRecord<'_>, b: ProfiledRecord<'_>) -> f64 {
+        self.similarity(a.record, b.record)
+    }
+
+    /// A cheap upper bound on the similarity, or `None` when the measure has
+    /// none (the trivial bound 1).  A bound must never be below the exact
+    /// `f64` value.
+    fn upper_bound(&self, _a: ProfiledRecord<'_>, _b: ProfiledRecord<'_>) -> Option<f64> {
+        None
+    }
+
+    /// Evaluate a pair against an edge threshold: [`EdgeCheck::Screened`]
+    /// when the upper bound proves the pair cannot become an edge, the exact
+    /// similarity otherwise.
+    fn check_edge(
+        &self,
+        a: ProfiledRecord<'_>,
+        b: ProfiledRecord<'_>,
+        threshold: f64,
+    ) -> EdgeCheck {
+        match self.upper_bound(a, b) {
+            Some(bound) if !is_edge(bound, threshold) => EdgeCheck::Screened,
+            _ => EdgeCheck::Exact(self.profiled_similarity(a, b)),
+        }
+    }
+
+    /// The edge weight of a pair: its exact similarity when that reaches
+    /// `threshold` and is positive, `None` otherwise.
+    fn edge_similarity(
+        &self,
+        a: ProfiledRecord<'_>,
+        b: ProfiledRecord<'_>,
+        threshold: f64,
+    ) -> Option<f64> {
+        self.check_edge(a, b, threshold).edge(threshold)
+    }
+}
+
+/// The edge rule every graph applies: a pair is stored when its similarity
+/// reaches the threshold and is positive.
+fn is_edge(sim: f64, threshold: f64) -> bool {
+    sim >= threshold && sim > 0.0
+}
+
+/// How a thresholded pair evaluation ended.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum EdgeCheck {
+    /// An upper bound fell below the threshold; no exact value was computed.
+    Screened,
+    /// The exact similarity, bit-identical to `similarity`.
+    Exact(f64),
+}
+
+impl EdgeCheck {
+    /// The stored edge weight, if the pair is an edge under `threshold`.
+    pub fn edge(self, threshold: f64) -> Option<f64> {
+        match self {
+            EdgeCheck::Exact(sim) if is_edge(sim, threshold) => Some(sim),
+            _ => None,
+        }
+    }
+}
+
+/// Exact vs screened pair evaluations of one graph update, recorded to
+/// telemetry once per update (`similarity.pairs_exact`,
+/// `similarity.pairs_screened`) rather than once per pair.
+#[derive(Debug, Default)]
+pub struct ScreenTally {
+    /// Pairs whose exact similarity was computed.
+    exact: u64,
+    /// Pairs rejected by an upper bound.
+    screened: u64,
+}
+
+impl ScreenTally {
+    /// Count one evaluation and return its edge weight under `threshold`.
+    pub fn edge(&mut self, check: EdgeCheck, threshold: f64) -> Option<f64> {
+        match check {
+            EdgeCheck::Screened => self.screened += 1,
+            EdgeCheck::Exact(_) => self.exact += 1,
+        }
+        check.edge(threshold)
+    }
+
+    /// Add the counts to the telemetry counters.
+    pub fn record(&self) {
+        let reg = dc_telemetry::registry();
+        reg.add("similarity.pairs_exact", self.exact);
+        reg.add("similarity.pairs_screened", self.screened);
+    }
+}
+
+/// `similarity` through the kernel: profile both records if the measure
+/// reads text, then run `profiled_similarity`.
+fn profile_both(m: &dyn SimilarityMeasure, a: &Record, b: &Record) -> f64 {
+    let profiles = m
+        .reads_text()
+        .then(|| (TextProfile::of(a), TextProfile::of(b)));
+    let (pa, pb) = profiles.as_ref().map(|(pa, pb)| (pa, pb)).unzip();
+    m.profiled_similarity(ProfiledRecord::new(a, pa), ProfiledRecord::new(b, pb))
 }
 
 /// Defines an object-safe clone helper trait (`$helper::$method`) for a
@@ -59,18 +177,25 @@ pub struct JaccardSimilarity;
 
 impl SimilarityMeasure for JaccardSimilarity {
     fn similarity(&self, a: &Record, b: &Record) -> f64 {
-        let ta = text::token_set(&a.full_text());
-        let tb = text::token_set(&b.full_text());
-        if ta.is_empty() && tb.is_empty() {
-            // Two records without any text are only "identical" if neither has
-            // a numeric payload either; otherwise they carry no evidence.
-            return 0.0;
-        }
-        text::jaccard(&ta, &tb)
+        profile_both(self, a, b)
     }
 
     fn name(&self) -> &'static str {
         "jaccard"
+    }
+
+    fn reads_text(&self) -> bool {
+        true
+    }
+
+    fn profiled_similarity(&self, a: ProfiledRecord<'_>, b: ProfiledRecord<'_>) -> f64 {
+        let (ta, tb) = (a.text(), b.text());
+        if ta.tokens().len() == 0 && tb.tokens().len() == 0 {
+            // Two records without any text are only "identical" if neither has
+            // a numeric payload either; otherwise they carry no evidence.
+            return 0.0;
+        }
+        text::jaccard(ta.tokens(), tb.tokens())
     }
 }
 
@@ -80,16 +205,23 @@ pub struct TrigramCosine;
 
 impl SimilarityMeasure for TrigramCosine {
     fn similarity(&self, a: &Record, b: &Record) -> f64 {
-        let fa = a.full_text();
-        let fb = b.full_text();
-        if fa.is_empty() && fb.is_empty() {
-            return 0.0;
-        }
-        text::cosine_of_bags(&text::trigrams(&fa), &text::trigrams(&fb))
+        profile_both(self, a, b)
     }
 
     fn name(&self) -> &'static str {
         "trigram-cosine"
+    }
+
+    fn reads_text(&self) -> bool {
+        true
+    }
+
+    fn profiled_similarity(&self, a: ProfiledRecord<'_>, b: ProfiledRecord<'_>) -> f64 {
+        let (fa, fb) = (a.text(), b.text());
+        if fa.text().is_empty() && fb.text().is_empty() {
+            return 0.0;
+        }
+        text::cosine_of_bags(&text::trigrams(fa.text()), &text::trigrams(fb.text()))
     }
 }
 
@@ -99,16 +231,34 @@ pub struct NormalizedLevenshtein;
 
 impl SimilarityMeasure for NormalizedLevenshtein {
     fn similarity(&self, a: &Record, b: &Record) -> f64 {
-        let fa = a.full_text();
-        let fb = b.full_text();
-        if fa.is_empty() && fb.is_empty() {
-            return 0.0;
-        }
-        text::normalized_levenshtein_similarity(&fa, &fb)
+        profile_both(self, a, b)
     }
 
     fn name(&self) -> &'static str {
         "normalized-levenshtein"
+    }
+
+    fn reads_text(&self) -> bool {
+        true
+    }
+
+    fn profiled_similarity(&self, a: ProfiledRecord<'_>, b: ProfiledRecord<'_>) -> f64 {
+        let (fa, fb) = (a.text(), b.text());
+        if fa.text().is_empty() && fb.text().is_empty() {
+            return 0.0;
+        }
+        text::normalized_levenshtein_similarity(fa.text(), fb.text())
+    }
+
+    /// `1 − |la − lb| / max(la, lb)`: the distance is at least the length
+    /// difference, and every step of the exact formula is monotone.
+    fn upper_bound(&self, a: ProfiledRecord<'_>, b: ProfiledRecord<'_>) -> Option<f64> {
+        let (la, lb) = (a.text().char_count(), b.text().char_count());
+        let max_len = la.max(lb);
+        if max_len == 0 {
+            return Some(0.0);
+        }
+        Some(1.0 - la.abs_diff(lb) as f64 / max_len as f64)
     }
 }
 
@@ -174,6 +324,9 @@ impl SimilarityMeasure for EuclideanSimilarity {
 #[derive(Clone)]
 pub struct CompositeMeasure {
     components: Vec<(Box<dyn SimilarityMeasure>, f64)>,
+    total: f64,
+    /// Every weight is `≥ 0`, so component bounds bound the combination.
+    screenable: bool,
 }
 
 impl CompositeMeasure {
@@ -189,7 +342,12 @@ impl CompositeMeasure {
             total > 0.0,
             "composite weights must sum to a positive value"
         );
-        CompositeMeasure { components }
+        let screenable = components.iter().all(|(_, w)| *w >= 0.0);
+        CompositeMeasure {
+            components,
+            total,
+            screenable,
+        }
     }
 
     /// The standard Febrl-style combination: 50% normalized Levenshtein, 50%
@@ -200,20 +358,84 @@ impl CompositeMeasure {
             (Box::new(JaccardSimilarity), 0.5),
         ])
     }
+
+    /// `Σ wᵢ·valueᵢ / total`, summed in declared order.
+    fn combine(&self, values: impl Iterator<Item = f64>) -> f64 {
+        self.components
+            .iter()
+            .zip(values)
+            .map(|((_, w), v)| w * v)
+            .sum::<f64>()
+            / self.total
+    }
 }
 
 impl SimilarityMeasure for CompositeMeasure {
     fn similarity(&self, a: &Record, b: &Record) -> f64 {
-        let total: f64 = self.components.iter().map(|(_, w)| *w).sum();
-        self.components
-            .iter()
-            .map(|(m, w)| w * m.similarity(a, b))
-            .sum::<f64>()
-            / total
+        profile_both(self, a, b)
     }
 
     fn name(&self) -> &'static str {
         "composite"
+    }
+
+    fn reads_text(&self) -> bool {
+        self.components.iter().any(|(m, _)| m.reads_text())
+    }
+
+    fn profiled_similarity(&self, a: ProfiledRecord<'_>, b: ProfiledRecord<'_>) -> f64 {
+        self.combine(
+            self.components
+                .iter()
+                .map(|(m, _)| m.profiled_similarity(a, b)),
+        )
+    }
+
+    /// Computes the components without a cheap bound first, then the
+    /// bounded ones, and stops as soon as the combination with each
+    /// not-yet-computed component at its bound falls below the threshold.
+    /// With non-negative weights every step of [`CompositeMeasure::combine`]
+    /// is monotone in each value (IEEE addition, multiplication by `w ≥ 0`,
+    /// division by `total > 0`), so that combination bounds the exact one,
+    /// and a pair that is not screened gets the exact value bit for bit.
+    fn check_edge(
+        &self,
+        a: ProfiledRecord<'_>,
+        b: ProfiledRecord<'_>,
+        threshold: f64,
+    ) -> EdgeCheck {
+        if !self.screenable {
+            return EdgeCheck::Exact(self.profiled_similarity(a, b));
+        }
+        // (bound, then exact value; whether the component has a cheap
+        // bound).  Components without one start at the trivial bound 1.
+        let mut values: Vec<(f64, bool)> = self
+            .components
+            .iter()
+            .map(|(m, _)| {
+                m.upper_bound(a, b)
+                    .map_or((1.0, false), |bound| (bound, true))
+            })
+            .collect();
+        let passes =
+            |values: &[(f64, bool)]| is_edge(self.combine(values.iter().map(|v| v.0)), threshold);
+        if values.iter().any(|v| v.1) && !passes(&values) {
+            return EdgeCheck::Screened;
+        }
+        let mut pending = values.len();
+        for bounded in [false, true] {
+            for i in 0..values.len() {
+                if values[i].1 != bounded {
+                    continue;
+                }
+                values[i].0 = self.components[i].0.profiled_similarity(a, b);
+                pending -= 1;
+                if pending > 0 && !passes(&values) {
+                    return EdgeCheck::Screened;
+                }
+            }
+        }
+        EdgeCheck::Exact(self.combine(values.into_iter().map(|v| v.0)))
     }
 }
 

@@ -59,28 +59,46 @@ pub fn trigrams(text: &str) -> Vec<String> {
 ///
 /// Runs in `O(|a| · |b|)` time and `O(min(|a|, |b|))` space.
 pub fn levenshtein(a: &str, b: &str) -> usize {
+    if a.is_ascii() && b.is_ascii() {
+        return edit_distance(a.as_bytes(), b.as_bytes());
+    }
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
-    // Keep the shorter string in the inner dimension to minimize memory.
-    let (short, long) = if a.len() <= b.len() {
-        (&a, &b)
-    } else {
-        (&b, &a)
-    };
+    edit_distance(&a, &b)
+}
+
+/// Levenshtein edit distance between two symbol sequences (unit costs).
+///
+/// The common prefix and suffix are stripped first (they never change the
+/// distance); the rest runs the single-row dynamic programme with the
+/// shorter sequence in the inner dimension.
+fn edit_distance<T: PartialEq>(a: &[T], b: &[T]) -> usize {
+    let prefix = a.iter().zip(b).take_while(|(x, y)| x == y).count();
+    let (a, b) = (&a[prefix..], &b[prefix..]);
+    let suffix = a
+        .iter()
+        .rev()
+        .zip(b.iter().rev())
+        .take_while(|(x, y)| x == y)
+        .count();
+    let (a, b) = (&a[..a.len() - suffix], &b[..b.len() - suffix]);
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if short.is_empty() {
         return long.len();
     }
-    let mut prev: Vec<usize> = (0..=short.len()).collect();
-    let mut curr: Vec<usize> = vec![0; short.len() + 1];
-    for (i, &lc) in long.iter().enumerate() {
-        curr[0] = i + 1;
-        for (j, &sc) in short.iter().enumerate() {
-            let cost = if lc == sc { 0 } else { 1 };
-            curr[j + 1] = (prev[j + 1] + 1).min(curr[j] + 1).min(prev[j] + cost);
+    // row[j] = distance between the processed prefix of `long` and short[..j].
+    let mut row: Vec<usize> = (0..=short.len()).collect();
+    for (i, lc) in long.iter().enumerate() {
+        let mut diag = row[0];
+        row[0] = i + 1;
+        for (j, sc) in short.iter().enumerate() {
+            let above = row[j + 1];
+            let cost = usize::from(lc != sc);
+            row[j + 1] = (above + 1).min(row[j] + 1).min(diag + cost);
+            diag = above;
         }
-        std::mem::swap(&mut prev, &mut curr);
     }
-    prev[short.len()]
+    row[short.len()]
 }
 
 /// Normalized Levenshtein similarity in `[0, 1]`:
@@ -97,16 +115,35 @@ pub fn normalized_levenshtein_similarity(a: &str, b: &str) -> f64 {
     1.0 - levenshtein(a, b) as f64 / max_len as f64
 }
 
-/// Jaccard similarity of two sets.
-pub fn jaccard<T: Ord>(a: &BTreeSet<T>, b: &BTreeSet<T>) -> f64 {
-    if a.is_empty() && b.is_empty() {
+/// Jaccard similarity of two sets, each given as an ascending,
+/// duplicate-free sequence (a `&BTreeSet`, or a profile's tokens).
+pub fn jaccard<T: Ord>(
+    a: impl IntoIterator<Item = T, IntoIter = impl ExactSizeIterator<Item = T>>,
+    b: impl IntoIterator<Item = T, IntoIter = impl ExactSizeIterator<Item = T>>,
+) -> f64 {
+    let (mut a, mut b) = (a.into_iter(), b.into_iter());
+    let (na, nb) = (a.len(), b.len());
+    if na == 0 && nb == 0 {
         return 1.0;
     }
-    if a.is_empty() || b.is_empty() {
+    if na == 0 || nb == 0 {
         return 0.0;
     }
-    let inter = a.intersection(b).count();
-    let union = a.len() + b.len() - inter;
+    // Merge-intersect the two ascending sequences.
+    let (mut x, mut y) = (a.next(), b.next());
+    let mut inter = 0;
+    while let (Some(u), Some(v)) = (&x, &y) {
+        match u.cmp(v) {
+            std::cmp::Ordering::Less => x = a.next(),
+            std::cmp::Ordering::Greater => y = b.next(),
+            std::cmp::Ordering::Equal => {
+                inter += 1;
+                x = a.next();
+                y = b.next();
+            }
+        }
+    }
+    let union = na + nb - inter;
     inter as f64 / union as f64
 }
 
@@ -196,6 +233,8 @@ mod tests {
         assert_eq!(levenshtein("abc", ""), 3);
         assert_eq!(levenshtein("abc", "abc"), 0);
         assert_eq!(levenshtein("flaw", "lawn"), 2);
+        assert_eq!(levenshtein("straße", "strasse"), 2);
+        assert_eq!(edit_distance(&[1, 2, 3], &[1, 3]), 1);
     }
 
     #[test]
@@ -244,6 +283,25 @@ mod proptests {
             let d2 = levenshtein(&b, &a);
             prop_assert_eq!(d1, d2);
             prop_assert!(d1 <= a.chars().count().max(b.chars().count()));
+        }
+
+        #[test]
+        fn edit_distance_matches_the_full_matrix(a in "[a-c]{0,12}", b in "[a-c]{0,12}") {
+            let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
+            let mut d = vec![vec![0usize; b.len() + 1]; a.len() + 1];
+            for (i, row) in d.iter_mut().enumerate() {
+                row[0] = i;
+            }
+            for (j, cell) in d[0].iter_mut().enumerate() {
+                *cell = j;
+            }
+            for i in 1..=a.len() {
+                for j in 1..=b.len() {
+                    let cost = usize::from(a[i - 1] != b[j - 1]);
+                    d[i][j] = (d[i - 1][j] + 1).min(d[i][j - 1] + 1).min(d[i - 1][j - 1] + cost);
+                }
+            }
+            prop_assert_eq!(edit_distance(&a, &b), d[a.len()][b.len()]);
         }
 
         #[test]
