@@ -17,23 +17,6 @@
 //!   table4   accuracy & recall of LR / SVM / DT vs #training samples (Table 4)
 //!   table5   LR accuracy & recall vs training fraction (Table 5)
 //!   summary  headline claims (latency saving vs Greedy, F1 gap vs batch)
-//!   bench-serving  emit BENCH_dynamic_serving.json (ops/sec, comparisons,
-//!                  aggregate-build counts per fixture scenario; --out <path>
-//!                  overrides the output file)
-//!   bench-durability  emit BENCH_durability.json (WAL append ops/sec,
-//!                  checkpoint seconds, recovery vs full-replay seconds per
-//!                  fixture scenario; --out <path> overrides the output file)
-//!   bench-sharding  emit BENCH_sharding.json (wall-clock and ops/sec per
-//!                  shard count in {1,2,4,8} in raw mode, merged structural
-//!                  counters; --out <path> overrides the output file)
-//!   bench-shard-quality  emit BENCH_shard_quality.json (pair P/R/F1 of the
-//!                  sharded clustering vs the unsharded engine, before and
-//!                  after cross-shard refinement, per shard count in
-//!                  {1,2,4,8}; --out <path> overrides the output file)
-//!   bench-pipeline  emit BENCH_pipeline.json (pipelined ingestion front-end
-//!                  vs synchronous sharded serving: sustained ops/sec,
-//!                  p50/p99 per-op commit latency, structural state match;
-//!                  --out <path> overrides the output file)
 //!   telemetry-smoke  serve the febrl fixture through the full durable
 //!                  sharded stack with telemetry on and emit the example
 //!                  metrics dump TELEMETRY_SMOKE.json (--out <path>
@@ -41,7 +24,8 @@
 //!   lint     run the dc-lint workspace invariant gate against
 //!                  LINT_BASELINE.json; exits non-zero on new findings
 //!                  (see "Static analysis" in the README)
-//!   all      everything above except the bench-* subcommands
+//!   all      every figure and table above plus summary (not
+//!                  telemetry-smoke or lint)
 //! ```
 //!
 //! Default scales are laptop-sized; `--scale` multiplies every dataset size
@@ -119,243 +103,6 @@ fn telemetry_smoke(out: Option<String>) {
     );
     let path = out.unwrap_or_else(|| "TELEMETRY_SMOKE.json".to_string());
     std::fs::write(&path, result.to_json()).expect("write telemetry smoke output");
-    println!("wrote {path}");
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_dynamic_serving.json
-// ---------------------------------------------------------------------------
-fn bench_serving(out: Option<String>) {
-    header("BENCH: dynamic serving (incremental aggregates vs rebuild-per-delta)");
-    let results = dc_bench::run_dynamic_serving_bench();
-    println!(
-        "{:<26} {:>6} {:>8} {:>12} {:>14} {:>12} {:>12}",
-        "scenario", "rounds", "ops", "ops/sec", "ms/round", "agg builds", "slow builds"
-    );
-    for r in &results {
-        println!(
-            "{:<26} {:>6} {:>8} {:>12.1} {:>14.3} {:>12} {:>12}",
-            r.name,
-            r.rounds,
-            r.operations,
-            r.ops_per_sec(),
-            r.mean_ms_per_round(),
-            r.aggregate_full_builds,
-            r.slow_path_full_builds,
-        );
-    }
-    let path = out.unwrap_or_else(|| "BENCH_dynamic_serving.json".to_string());
-    let json = dc_bench::serving_results_to_json(&results);
-    std::fs::write(&path, json).expect("write serving bench output");
-    println!("wrote {path}");
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_durability.json
-// ---------------------------------------------------------------------------
-fn bench_durability(out: Option<String>) {
-    header("BENCH: durability (WAL append, checkpoint, recovery vs full replay)");
-    let results = dc_bench::run_durability_bench();
-    println!(
-        "{:<26} {:>6} {:>8} {:>12} {:>10} {:>12} {:>12} {:>9}",
-        "scenario",
-        "rounds",
-        "ops",
-        "append/sec",
-        "ckpt(ms)",
-        "recover(ms)",
-        "replay(ms)",
-        "speedup"
-    );
-    for r in &results {
-        println!(
-            "{:<26} {:>6} {:>8} {:>12.1} {:>10.3} {:>12.3} {:>12.3} {:>8.1}x",
-            r.name,
-            r.rounds,
-            r.operations,
-            r.wal_appends_per_sec(),
-            r.checkpoint_seconds * 1e3,
-            r.recovery_seconds * 1e3,
-            r.full_replay_seconds * 1e3,
-            r.recovery_speedup(),
-        );
-        assert!(
-            r.recovery_matches,
-            "{}: recovered state diverged from the pre-kill engine",
-            r.name
-        );
-    }
-    let path = out.unwrap_or_else(|| "BENCH_durability.json".to_string());
-    let json = dc_bench::durability_results_to_json(&results);
-    std::fs::write(&path, json).expect("write durability bench output");
-    println!("wrote {path}");
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_sharding.json
-// ---------------------------------------------------------------------------
-fn bench_sharding(out: Option<String>) {
-    header("BENCH: sharding (wall-clock scaling over shard counts)");
-    let results = dc_bench::run_sharding_bench();
-    for scenario in &results {
-        println!(
-            "-- {} ({} rounds, {} ops; unsharded engine {:.3}s)",
-            scenario.name, scenario.rounds, scenario.operations, scenario.baseline_engine_seconds
-        );
-        println!(
-            "{:>7} {:>10} {:>12} {:>9} {:>9} {:>10} {:>12}",
-            "shards", "seconds", "ops/sec", "speedup", "clusters", "merges", "comparisons"
-        );
-        for run in &scenario.runs {
-            println!(
-                "{:>7} {:>10.3} {:>12.1} {:>8.2}x {:>9} {:>10} {:>12}",
-                run.shards,
-                run.seconds,
-                run.ops_per_sec(scenario.operations),
-                scenario.speedup(run.shards),
-                run.clusters,
-                run.merges_applied,
-                run.comparisons,
-            );
-            assert_eq!(
-                run.aggregate_full_builds, 0,
-                "{}: {} shards fell off the incremental path",
-                scenario.name, run.shards
-            );
-        }
-    }
-    let path = out.unwrap_or_else(|| "BENCH_sharding.json".to_string());
-    let json = dc_bench::sharding_results_to_json(&results);
-    std::fs::write(&path, json).expect("write sharding bench output");
-    println!("wrote {path}");
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_pipeline.json
-// ---------------------------------------------------------------------------
-fn bench_pipeline(out: Option<String>) {
-    header("BENCH: pipeline (pipelined ingestion vs synchronous serving)");
-    let results = dc_bench::run_pipeline_bench();
-    for scenario in &results {
-        println!(
-            "-- {} ({} shards, {} ops streamed as {}-op requests, pipelined target {} ops; states match: {})",
-            scenario.name,
-            scenario.shards,
-            scenario.operations,
-            scenario.granule_ops,
-            scenario.batch_ops,
-            scenario.states_match,
-        );
-        println!(
-            "{:>10} {:>7} {:>10} {:>12} {:>14} {:>14} {:>9}",
-            "mode", "rounds", "seconds", "ops/sec", "p50 op (µs)", "p99 op (µs)", "clusters"
-        );
-        for run in &scenario.runs {
-            println!(
-                "{:>10} {:>7} {:>10.3} {:>12.1} {:>14.1} {:>14.1} {:>9}",
-                run.mode,
-                run.rounds,
-                run.seconds,
-                run.ops_per_sec(scenario.operations),
-                run.p50_op_latency_ns as f64 / 1e3,
-                run.p99_op_latency_ns as f64 / 1e3,
-                run.clusters,
-            );
-        }
-        println!("   pipelined speedup vs sync: {:.2}x", scenario.speedup());
-    }
-    let path = out.unwrap_or_else(|| "BENCH_pipeline.json".to_string());
-    let json = dc_bench::pipeline_results_to_json(&results);
-    std::fs::write(&path, json).expect("write pipeline bench output");
-    println!("wrote {path}");
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_shard_quality.json
-// ---------------------------------------------------------------------------
-fn bench_shard_quality(out: Option<String>) {
-    header("BENCH: shard quality (sharded vs unsharded pair sets, pre/post refinement)");
-    let results = dc_bench::run_shard_quality_bench();
-    for scenario in &results {
-        println!(
-            "-- {} ({} rounds, {} ops)",
-            scenario.name, scenario.rounds, scenario.operations
-        );
-        println!(
-            "{:>7} {:>9} {:>9} {:>13} {:>12} {:>12} {:>12} {:>10}",
-            "shards",
-            "pre F1",
-            "post F1",
-            "pairs missing",
-            "edges recov",
-            "repair merges",
-            "refined(s)",
-            "raw(s)"
-        );
-        for run in &scenario.runs {
-            println!(
-                "{:>7} {:>9.6} {:>9.6} {:>6} -> {:>4} {:>12} {:>13} {:>12.3} {:>10.3}",
-                run.shards,
-                run.pre_f1,
-                run.post_f1,
-                run.pre_pairs_missing,
-                run.post_pairs_missing,
-                run.cross_edges_recovered,
-                run.refine_merges_applied,
-                run.seconds_refined,
-                run.seconds_raw,
-            );
-            assert_eq!(
-                (run.post_pairs_missing, run.post_pairs_extra),
-                (0, 0),
-                "{}: {} shards: refined pair sets diverged from the unsharded engine",
-                scenario.name,
-                run.shards
-            );
-        }
-    }
-    header("BENCH: refined serving throughput vs shard count (largest fixture)");
-    let throughput = dc_bench::run_refined_throughput_bench();
-    println!(
-        "-- {} ({} rounds, {} ops)",
-        throughput.name, throughput.rounds, throughput.operations
-    );
-    println!(
-        "{:>7} {:>12} {:>10} {:>12} {:>10} {:>13} {:>9} {:>12}",
-        "shards",
-        "repair",
-        "seconds",
-        "ops/sec",
-        "clusters",
-        "dirty total",
-        "regions",
-        "repair(ms)"
-    );
-    for run in &throughput.runs {
-        println!(
-            "{:>7} {:>12} {:>10.3} {:>12.1} {:>10} {:>13} {:>9} {:>12.3}",
-            run.shards,
-            if run.full_repair {
-                "full"
-            } else {
-                "incremental"
-            },
-            run.seconds,
-            throughput.operations as f64 / run.seconds,
-            run.clusters,
-            run.total_dirty_clusters,
-            run.total_regions,
-            run.repair_wall_ns_total as f64 * 1e-6,
-        );
-    }
-    println!(
-        "incremental repair speedup vs full repair at {} shards: {:.2}x",
-        dc_bench::shard_quality::GATED_SHARD_COUNT,
-        throughput.repair_speedup_vs_full(),
-    );
-    let path = out.unwrap_or_else(|| "BENCH_shard_quality.json".to_string());
-    let json = dc_bench::shard_quality_results_to_json(&results, &throughput);
-    std::fs::write(&path, json).expect("write shard quality bench output");
     println!("wrote {path}");
 }
 
@@ -774,11 +521,6 @@ fn main() {
         dc_telemetry::TelemetryConfig::enabled().apply();
     }
     match command.as_str() {
-        "bench-serving" => bench_serving(out),
-        "bench-durability" => bench_durability(out),
-        "bench-sharding" => bench_sharding(out),
-        "bench-shard-quality" => bench_shard_quality(out),
-        "bench-pipeline" => bench_pipeline(out),
         "telemetry-smoke" => telemetry_smoke(out),
         "lint" => lint(),
         "fig3" => fig3(options),

@@ -12,8 +12,8 @@
 //!   coordinating-thread phase spans ([`ROUND_PHASES`]) must account for at
 //!   least 90 % of the measured `round.total` wall time, i.e. the per-round
 //!   phase breakdown explains where the round went.
-//! * [`run_telemetry_overhead_gate`] measures the same serving loop as the
-//!   `bench-serving` scenario with telemetry off and on (best-of-N each,
+//! * [`run_telemetry_overhead_gate`] measures an unsharded engine serving
+//!   the same fixture with telemetry off and on (best-of-N each,
 //!   interleaved) and reports the throughput ratio.  The dc-bench gate test
 //!   asserts the ratio stays within the contract: telemetry-on serving must
 //!   be within 5 % of telemetry-off.
@@ -31,11 +31,12 @@ use dc_similarity::{GraphConfig, ShardRouter, SimilarityGraph};
 use dc_telemetry::{registry, TelemetryConfig, TelemetrySnapshot};
 use dc_types::Clustering;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Shard count of the smoke run.
 pub const SMOKE_SHARDS: usize = 2;
-/// Training prefix of the smoke run (matches the serving bench).
+/// Training prefix of the smoke run and the overhead gate.
 pub const SMOKE_TRAIN_ROUNDS: usize = 2;
 /// Checkpoint cadence of the smoke run, in rounds.
 pub const SMOKE_CHECKPOINT_EVERY: usize = 2;
@@ -74,12 +75,32 @@ impl TelemetrySmokeResult {
     }
 }
 
-fn temp_state_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("dc-bench-telemetry-{tag}-{}", std::process::id()))
+/// A state directory private to one call, removed when dropped.  The pid
+/// keeps concurrent processes apart and the counter keeps concurrent calls
+/// in one process (parallel tests) apart.
+struct StateDir(PathBuf);
+
+impl StateDir {
+    fn new(tag: &str) -> Self {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "dc-bench-telemetry-{tag}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&path);
+        StateDir(path)
+    }
 }
 
-/// Deterministic train-then-previous pipeline (same shape as the durability
-/// bench's): batch-cluster the initial data, train DynamicC on the prefix.
+impl Drop for StateDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Deterministic train-then-previous pipeline: batch-cluster the initial
+/// data, train DynamicC on the prefix.
 fn trained_setup(
     workload: &DynamicWorkload,
     graph_config: impl Fn() -> GraphConfig,
@@ -119,15 +140,14 @@ pub fn run_telemetry_smoke() -> TelemetrySmokeResult {
         SMOKE_TRAIN_ROUNDS,
     );
 
-    let dir = temp_state_dir("smoke");
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = StateDir::new("smoke");
     let router = ShardRouter::for_config(SMOKE_SHARDS, graph.config());
     let options = DurabilityOptions {
         checkpoint_every_rounds: SMOKE_CHECKPOINT_EVERY,
         group_commit: false,
     };
     let (mut engine, _) = ShardedDurableEngine::open(
-        &dir,
+        &dir.0,
         router,
         GraphConfig::textual_febrl(0.6),
         dynamicc.clone(),
@@ -145,7 +165,7 @@ pub fn run_telemetry_smoke() -> TelemetrySmokeResult {
     // Recover from disk so the snapshot also carries the recovery metrics.
     let router = ShardRouter::for_config(SMOKE_SHARDS, &GraphConfig::textual_febrl(0.6));
     let (recovered, report) = ShardedDurableEngine::open(
-        &dir,
+        &dir.0,
         router,
         GraphConfig::textual_febrl(0.6),
         dynamicc,
@@ -155,7 +175,7 @@ pub fn run_telemetry_smoke() -> TelemetrySmokeResult {
     .expect("reopen");
     assert!(report.recovered, "smoke run must recover, not bootstrap");
     drop(recovered);
-    let _ = std::fs::remove_dir_all(&dir);
+    drop(dir);
 
     let snapshot = reg.snapshot();
     TelemetryConfig::default().apply();
@@ -250,11 +270,11 @@ impl TelemetryOverheadResult {
     }
 }
 
-/// Measure the `bench-serving` loop (unsharded engine over the febrl
-/// fixture) with telemetry off and on, `reps` times each, interleaved, and
-/// keep the best rep per mode.  The trained pipeline is built once and
-/// cloned per rep, so every rep serves identical state and the comparison
-/// isolates the instrumentation cost.
+/// Measure an unsharded engine serving the febrl fixture with telemetry
+/// off and on, `reps` times each, interleaved, and keep the best rep per
+/// mode.  The trained pipeline is built once and cloned per rep, so every
+/// rep serves identical state and the comparison isolates the
+/// instrumentation cost.
 pub fn run_telemetry_overhead_gate(reps: usize) -> TelemetryOverheadResult {
     let reg = registry();
     reg.reset();

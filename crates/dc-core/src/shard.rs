@@ -26,11 +26,9 @@
 //! see are computed once, cached, and a global repair runs the trained
 //! merge/split passes over the global view, so the refined clustering
 //! ([`ShardedEngine::refined_clustering`]) is quality-equivalent to the
-//! unsharded engine instead of silently lossy.  Refinement is the default;
-//! [`ShardedEngine::new_raw`] opts out for workloads where the repair
-//! pass's serial cost matters more than pair-exact quality (the
-//! `bench-shard-quality` benchmark measures both sides of that trade, and
-//! `bench-sharding` pins the raw mode's scaling).
+//! unsharded engine instead of silently lossy.  Every multi-shard engine
+//! refines; `tests/shard_quality.rs` pins the refined pair sets against the
+//! unsharded engine's.
 //!
 //! With **one** shard nothing is dropped and nothing is renumbered: the
 //! sub-batch is the input batch, the namespace base is 0, and the sharded
@@ -532,33 +530,6 @@ impl ShardedEngine {
         clustering: Clustering,
         dynamicc: DynamicC,
     ) -> Result<Self, ShardConfigError> {
-        Self::with_refinement(router, graph, clustering, dynamicc, true)
-    }
-
-    /// [`ShardedEngine::new`] without the cross-shard refinement layer: the
-    /// *raw* throughput mode.  Cross-shard similarity edges are simply
-    /// dropped (the pre-refinement semantics), every round is fully
-    /// parallel with no serial repair pass, and
-    /// [`ShardedEngine::refined_clustering`] degrades to
-    /// [`ShardedEngine::merged_clustering`].  Use this when linear scaling
-    /// matters more than pair-exact quality; `bench-shard-quality` measures
-    /// exactly what the trade costs.
-    pub fn new_raw(
-        router: ShardRouter,
-        graph: SimilarityGraph,
-        clustering: Clustering,
-        dynamicc: DynamicC,
-    ) -> Result<Self, ShardConfigError> {
-        Self::with_refinement(router, graph, clustering, dynamicc, false)
-    }
-
-    fn with_refinement(
-        router: ShardRouter,
-        graph: SimilarityGraph,
-        clustering: Clustering,
-        dynamicc: DynamicC,
-        refinement: bool,
-    ) -> Result<Self, ShardConfigError> {
         let n = router.n_shards();
         let partition = partition_state(&router, &graph, &clustering)?;
         let shards: Vec<Engine> = partition
@@ -567,7 +538,7 @@ impl ShardedEngine {
             .zip(distribute_dynamicc(dynamicc, n))
             .map(|(seed, d)| Engine::new(seed.graph, seed.clustering, d))
             .collect();
-        let refiner = if refinement && n > 1 {
+        let refiner = if n > 1 {
             let engines: Vec<&Engine> = shards.iter().collect();
             Some(CrossShardRefiner::build(
                 &router,
@@ -689,9 +660,8 @@ impl ShardedEngine {
     /// fixed point every round instead of restricting repair to the dirty
     /// regions the round's operations touched.  Both modes produce the same
     /// refined clustering — full repair just pays the pre-incremental serial
-    /// cost, which equivalence tests and `bench-shard-quality` use as the
-    /// reference the dirty-region path is measured against.  No-op with one
-    /// shard.
+    /// cost, which `tests/incremental_refine.rs` uses as the reference the
+    /// dirty-region path is checked against.  No-op with one shard.
     pub fn set_full_repair(&mut self, full_repair: bool) {
         if let Some(refiner) = self.refiner.as_mut() {
             refiner.set_full_repair(full_repair);

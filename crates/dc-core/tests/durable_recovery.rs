@@ -55,17 +55,20 @@ fn check_recovery_equivalence(
         expected_clusterings.push(uninterrupted.clustering().clone());
     }
 
-    // Durable twin: a fresh process for every round.
+    // Durable twin: a fresh process for every round.  Each reopen must
+    // replay exactly the rounds the killed process had served since its
+    // last checkpoint — the snapshot covers the rest.
     let tmp = TempDir::new(tag);
     let dir = tmp.path();
-    {
+    let mut tail_at_kill = {
         let (graph, previous, _, dynamicc) =
             trained_setup(workload, graph_config, objective.clone());
         let config = graph.config().clone();
-        let (_engine, report) =
+        let (engine, report) =
             DurableEngine::open(dir, config, dynamicc, options, move || (graph, previous)).unwrap();
         assert!(!report.recovered, "{tag}: first open must be fresh");
-    }
+        engine.rounds_since_checkpoint()
+    };
     for (i, snapshot) in serve.iter().enumerate() {
         // Every reopen is a simulated crash recovery: a new process with the
         // same config and the same deterministically trained models.
@@ -83,6 +86,10 @@ fn check_recovery_equivalence(
             "{tag}: round {i}: recovery must not rebuild aggregates"
         );
         assert_eq!(engine.rounds_served(), i, "{tag}: round {i}: resume point");
+        assert_eq!(
+            report.replayed_rounds as u64, tail_at_kill,
+            "{tag}: round {i}: recovery must replay exactly the tail since the last checkpoint"
+        );
 
         let round_report = engine.apply_round(&snapshot.batch).unwrap();
         assert_eq!(
@@ -94,6 +101,13 @@ fn check_recovery_equivalence(
             &expected_clusterings[i],
             &format!("{tag}: round {i}"),
         );
+        tail_at_kill = engine.rounds_since_checkpoint();
+        if options.checkpoint_every_rounds > 0 {
+            assert!(
+                tail_at_kill < options.checkpoint_every_rounds as u64,
+                "{tag}: round {i}: automatic checkpoints must bound the replay tail"
+            );
+        }
         // Killed here: `engine` is dropped without any shutdown hook.
     }
 
@@ -106,6 +120,10 @@ fn check_recovery_equivalence(
     .unwrap();
     assert!(report.recovered);
     assert_eq!(engine.rounds_served(), serve.len());
+    assert_eq!(
+        report.replayed_rounds as u64, tail_at_kill,
+        "{tag}: final replay"
+    );
     assert_clusterings_identical(
         engine.clustering(),
         uninterrupted.clustering(),

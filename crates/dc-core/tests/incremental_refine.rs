@@ -210,6 +210,7 @@ fn check_incremental_matches_full(
     rounds.extend(synthetic_batches(&incremental, &pool, &mut rng, 9));
 
     let mut saw_restricted_round = false;
+    let mut total_dirty_clusters = 0usize;
     for (i, batch) in rounds.iter().enumerate() {
         let context = format!("{tag}: {n_shards} shards: round {i}");
         let inc_report = incremental
@@ -243,8 +244,20 @@ fn check_incremental_matches_full(
                 "{context}"
             );
         }
+        assert!(
+            inc_report.regions <= inc_report.dirty_clusters,
+            "{context}: {} repair regions over {} dirty clusters",
+            inc_report.regions,
+            inc_report.dirty_clusters
+        );
+        total_dirty_clusters += inc_report.dirty_clusters;
         saw_restricted_round |= inc_report.dirty_clusters < full_report.dirty_clusters;
     }
+    assert!(
+        total_dirty_clusters > 0,
+        "{tag}: {n_shards} shards: no round dirtied a cluster, so this workload \
+         does not exercise incremental repair"
+    );
     assert!(
         saw_restricted_round,
         "{tag}: {n_shards} shards: the dirty set never shrank below the full \

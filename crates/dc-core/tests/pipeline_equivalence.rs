@@ -308,3 +308,49 @@ fn killed_pipeline_leaves_a_committed_reopenable_state() {
         "the flushed round survived the kill"
     );
 }
+
+/// Coalescing is exact: ops submitted one at a time into a fixed-size
+/// batcher whose formation deadline never fires commit as full `K`-op
+/// rounds — one group commit per `K` ops — with only the final round
+/// (closed by `close`) allowed to be short.
+#[test]
+fn fixed_batcher_coalesces_single_op_submissions_into_full_rounds() {
+    const K: usize = 16;
+    let workload = small_febrl_workload();
+    let objective: Arc<dyn ObjectiveFunction> = Arc::new(DbIndexObjective);
+    let batches = serve_batches(&workload, objective.clone());
+    let ops: Vec<_> = batches.iter().flat_map(|b| b.iter().cloned()).collect();
+    assert!(ops.len() > 2 * K, "fixture must fill several rounds");
+    let options = DurabilityOptions {
+        checkpoint_every_rounds: 0,
+        group_commit: true,
+    };
+
+    let tmp = TempDir::new("pipe-coalesce");
+    let (engine, _) = open_engine(tmp.path(), 2, &workload, objective, options);
+    let pipe = PipelinedEngine::start(
+        engine,
+        PipelineOptions {
+            max_batch_delay: Duration::from_secs(3600),
+            record_batches: true,
+            ..PipelineOptions::fixed(K)
+        },
+    );
+    for op in &ops {
+        pipe.submit(op.clone()).expect("submit");
+    }
+    let (engine, report) = pipe.close().expect("clean close");
+
+    assert_eq!(report.rounds_committed, ops.len().div_ceil(K) as u64);
+    assert_eq!(report.ops_committed, ops.len() as u64);
+    assert_eq!(engine.rounds_served() as u64, report.rounds_committed);
+    let recorded = report.recorded_batches.expect("recording on");
+    assert_eq!(recorded.len() as u64, report.rounds_committed);
+    let (last, full) = recorded.split_last().expect("at least one round");
+    for (i, batch) in full.iter().enumerate() {
+        assert_eq!(batch.len(), K, "round {} is not a full {K}-op round", i + 1);
+    }
+    assert_eq!(last.len(), ops.len() - K * full.len(), "final round");
+    let committed: Vec<_> = recorded.iter().flat_map(|b| b.iter().cloned()).collect();
+    assert_eq!(committed, ops, "admission order preserved");
+}

@@ -265,11 +265,11 @@ pub trait ObjectiveFunction: Send + Sync {
 /// `_with` overrides: every `_with` call falls through the trait defaults to
 /// the inner objective's plain (rebuild-as-needed) implementation.
 ///
-/// This is the reference "slow path" used by the equivalence tests and the
-/// `BENCH_dynamic_serving` baseline: running the same serving code once with
-/// the bare objective and once wrapped in `SlowPathObjective` must produce
-/// the identical clustering, while the full-build counter quantifies how
-/// many O(E) rebuilds the incremental path avoided.
+/// This is the reference "slow path" used by the equivalence tests: running
+/// the same serving code once with the bare objective and once wrapped in
+/// `SlowPathObjective` must produce the identical clustering, while the
+/// full-build counter quantifies how many O(E) rebuilds the incremental path
+/// avoided.
 pub struct SlowPathObjective {
     inner: Arc<dyn ObjectiveFunction>,
 }

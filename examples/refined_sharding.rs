@@ -8,9 +8,10 @@
 //! clustering *pair-for-pair identical* to the unsharded one.
 //!
 //! This example trains DynamicC on the Febrl fixture under exact token
-//! blocking, then serves the remaining rounds three ways side by side —
-//! unsharded (the reference), raw 4-shard (the lossy mode), and refined
-//! 4-shard — comparing pair F1 after every round.  It finishes with the
+//! blocking, then serves the remaining rounds unsharded (the reference) and
+//! on 4 refined shards side by side, comparing pair F1 after every round of
+//! both the raw merged view (the per-shard clusterings, which repair never
+//! mutates — what plain sharding would serve) and the refined view.  It finishes with the
 //! durable variant: a kill/reopen mid-stream must reproduce the refined
 //! clustering bit-for-bit (the refine WAL + snapshot replay).
 //!
@@ -55,21 +56,17 @@ fn main() {
         graph.object_count()
     );
 
-    // ---- unsharded reference vs raw vs refined sharding ----
+    // ---- unsharded reference vs raw merged view vs refined view ----
     let mut reference = Engine::new(graph.clone(), previous.clone(), dynamicc.clone());
     let router = ShardRouter::for_config(N_SHARDS, graph.config());
     let mut refined = ShardedEngine::new(router, graph.clone(), previous.clone(), dynamicc.clone())
-        .expect("valid shard config");
-    let router = ShardRouter::for_config(N_SHARDS, graph.config());
-    let mut raw = ShardedEngine::new_raw(router, graph.clone(), previous.clone(), dynamicc.clone())
         .expect("valid shard config");
 
     println!("\nround  raw F1   refined F1  recovered edges  repair merges");
     for snapshot in serve {
         reference.apply_round(&snapshot.batch);
         let r = refined.apply_round(&snapshot.batch);
-        raw.apply_round(&snapshot.batch);
-        let raw_quality = pair_counts(&raw.merged_clustering(), reference.clustering());
+        let raw_quality = pair_counts(&refined.merged_clustering(), reference.clustering());
         let refined_quality = pair_counts(&refined.refined_clustering(), reference.clustering());
         let refine = r.refine.expect("multi-shard rounds refine");
         println!(
