@@ -168,14 +168,17 @@ impl DynamicC {
     /// all candidate state from `agg` and fold every applied change back into
     /// it, so the whole fixed-point loop performs **no** full aggregate
     /// builds.  `agg` must describe `(graph, working)` on entry and does so
-    /// again on exit.
+    /// again on exit.  Each pass is timed under the `engine.merge_pass` and
+    /// `engine.split_pass` spans.
     pub(crate) fn run_full_algorithm(
         &mut self,
         graph: &SimilarityGraph,
         working: &mut Clustering,
         agg: &mut ClusterAggregates,
     ) {
+        let reg = dc_telemetry::registry();
         for _ in 0..self.config.max_passes {
+            let span = reg.span("engine.merge_pass");
             let merged = merge_pass(
                 graph,
                 working,
@@ -185,6 +188,8 @@ impl DynamicC {
                 self.config.theta_scale,
                 &mut self.stats,
             );
+            span.finish();
+            let span = reg.span("engine.split_pass");
             let split = split_pass(
                 graph,
                 working,
@@ -194,6 +199,7 @@ impl DynamicC {
                 self.config.theta_scale,
                 &mut self.stats,
             );
+            span.finish();
             if !merged && !split {
                 break;
             }

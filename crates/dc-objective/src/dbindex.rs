@@ -1,9 +1,10 @@
 //! Davies–Bouldin-style index adapted to sparse similarity graphs.
 //!
 //! The paper's most challenging workload is DB-index clustering over
-//! record-linkage data (§7.1): unlike correlation clustering it has none of
-//! the locality/monotonicity properties that specialized incremental methods
-//! exploit, which is exactly why a learned dynamic method is attractive.
+//! record-linkage data (§7.1): unlike correlation clustering it is not a sum
+//! of independent per-edge terms, so the specialized incremental methods
+//! that exploit that structure do not apply, which is exactly why a learned
+//! dynamic method is attractive.
 //!
 //! The classical DB index is defined over Euclidean space as the mean over
 //! clusters of `max_j (S_i + S_j) / M_ij` (scatter over separation).  Applied
@@ -27,12 +28,31 @@
 //! stored edge are examined, so evaluation is proportional to the number of
 //! edges.  Lower is better.
 //!
+//! **Locality.**  A merge, split or move changes the badness of only two
+//! kinds of cluster: the clusters it replaces or creates, and their
+//! neighbour clusters — a neighbour's confusability is a max over *its*
+//! neighbours, which include the changed clusters.  Every other badness
+//! term keeps its exact bits.  So a delta evaluation builds the change's
+//! [`AggregateEdit`] (the after-state of the replaced clusters, computed by
+//! the same code that applies it) and re-scores just that neighbourhood:
+//! O(neighbourhood), no clone of the aggregate, no whole-index pass.
+//!
+//! **Exact sum.**  The badness sum `Σ_i (S_i + T_i)` is a correctly-rounded
+//! sum ([`ExactSum`]), so it does not depend on summation order.  The
+//! current state's exact sum is memoised with the aggregate
+//! ([`ClusterAggregates::memo`], rebuilt in O(k) after each mutation); a
+//! delta subtracts the neighbourhood's old terms from it and adds the new
+//! ones.  The result, `index(after) − index(before)`, is bit-identical to
+//! evaluating both states from scratch, and `evaluate` and `evaluate_with`
+//! agree bit for bit.
+//!
 //! This is a substitution: the exact objective used by the original paper is
-//! not published, and any DB-index-like objective without
-//! locality/monotonicity exercises the same DynamicC code paths.
+//! not published, and any DB-index-like objective that is not a sum of
+//! independent terms exercises the same DynamicC code paths.
 
+use crate::exact::ExactSum;
 use crate::traits::{DecisionLocality, ObjectiveFunction, ObjectiveKind};
-use dc_similarity::{ClusterAggregates, SimilarityGraph};
+use dc_similarity::{AggregateEdit, ClusterAggregates, SimilarityGraph};
 use dc_types::{ClusterId, Clustering, ObjectId};
 use std::collections::BTreeSet;
 
@@ -40,43 +60,141 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DbIndexObjective;
 
-impl DbIndexObjective {
-    fn scatter(agg: &ClusterAggregates, cid: ClusterId) -> f64 {
-        1.0 - agg.intra_avg(cid)
-    }
+/// The exact badness sum of one aggregate state, memoised with it.
+#[derive(Debug)]
+struct BadnessSum {
+    exact: ExactSum,
+    rounded: f64,
+}
 
-    /// Per-cluster badness: scatter plus the strongest average attraction to
-    /// any neighbouring cluster.
-    fn cluster_badness(agg: &ClusterAggregates, cid: ClusterId) -> f64 {
-        let scatter = Self::scatter(agg, cid);
-        let size = agg.cluster_size(cid) as f64;
-        if size == 0.0 {
+impl DbIndexObjective {
+    /// Per-cluster badness of a cluster with `size` members and intra sum
+    /// `intra`: scatter plus the strongest average attraction to any
+    /// neighbour, given as `(cross-edge sum, neighbour size)` pairs.  The
+    /// neighbours may come in any order: a max of finite values depends on
+    /// the order only through the sign of a zero result, which adding the
+    /// scatter (never `-0.0`) erases.
+    fn badness(size: usize, intra: f64, neighbours: impl Iterator<Item = (f64, usize)>) -> f64 {
+        if size == 0 {
             return 0.0;
         }
+        let scatter = 1.0 - ClusterAggregates::intra_avg_of_sum(size, intra);
+        let size = size as f64;
         let mut confusability: f64 = 0.0;
-        for (other, sum) in agg.neighbour_cluster_sums(cid) {
-            let other_size = agg.cluster_size(other) as f64;
-            if other_size == 0.0 {
+        for (sum, other_size) in neighbours {
+            if other_size == 0 {
                 continue;
             }
-            let inter_avg = sum / (size * other_size);
+            let inter_avg = sum / (size * other_size as f64);
             confusability = confusability.max(inter_avg);
         }
         scatter + confusability
     }
 
+    fn cluster_badness(agg: &ClusterAggregates, cid: ClusterId) -> f64 {
+        Self::badness(
+            agg.cluster_size(cid),
+            agg.intra_sum(cid),
+            agg.neighbour_cluster_sums(cid)
+                .map(|(other, sum)| (sum, agg.cluster_size(other))),
+        )
+    }
+
+    fn badness_sum(agg: &ClusterAggregates) -> BadnessSum {
+        let mut exact = ExactSum::new();
+        exact.extend(
+            agg.cluster_ids()
+                .into_iter()
+                .map(|cid| Self::cluster_badness(agg, cid)),
+        );
+        let rounded = exact.value();
+        BadnessSum { exact, rounded }
+    }
+
+    /// `agg`'s memoised badness sum, or a fresh one if its memo slot holds
+    /// something else.
+    fn with_badness_sum<R>(agg: &ClusterAggregates, f: impl FnOnce(&BadnessSum) -> R) -> R {
+        match agg.memo(Self::badness_sum) {
+            Some(sum) => f(sum),
+            None => f(&Self::badness_sum(agg)),
+        }
+    }
+
+    fn mean(sum: f64, clusters: usize) -> f64 {
+        if clusters == 0 {
+            0.0
+        } else {
+            sum / clusters as f64
+        }
+    }
+
     /// The index read off materialized aggregates alone.
     fn index_from_aggregates(agg: &ClusterAggregates) -> f64 {
-        let k = agg.cluster_count();
-        if k == 0 {
-            return 0.0;
-        }
-        let sum: f64 = agg
-            .cluster_ids()
-            .into_iter()
-            .map(|cid| Self::cluster_badness(agg, cid))
-            .sum();
-        sum / k as f64
+        Self::with_badness_sum(agg, |sum| Self::mean(sum.rounded, agg.cluster_count()))
+    }
+
+    /// `index(after) − index(before)` for an edit of `agg`, re-scoring only
+    /// the clusters the edit replaces or installs and their neighbours.
+    fn edit_delta(agg: &ClusterAggregates, edit: &AggregateEdit) -> f64 {
+        let installed = |cid: ClusterId| {
+            edit.installed
+                .iter()
+                .find_map(|(c, parts)| (*c == cid).then_some(parts))
+        };
+        let touched: BTreeSet<ClusterId> = edit
+            .retired
+            .iter()
+            .copied()
+            .chain(edit.installed.iter().map(|(c, _)| *c))
+            .collect();
+        // Size of a cluster once the edit is applied (0 if it is gone).
+        let size_after = |cid: ClusterId| match installed(cid) {
+            Some(parts) => parts.size,
+            None if touched.contains(&cid) => 0,
+            None => agg.cluster_size(cid),
+        };
+
+        Self::with_badness_sum(agg, |before| {
+            let mut sum = before.exact.clone();
+            let mut clusters = agg.cluster_count();
+            let mut neighbours: BTreeSet<ClusterId> = BTreeSet::new();
+            for &cid in &edit.retired {
+                if agg.contains_cluster(cid) {
+                    sum.add(-Self::cluster_badness(agg, cid));
+                    clusters -= 1;
+                }
+                neighbours.extend(agg.neighbour_cluster_sums(cid).map(|(x, _)| x));
+            }
+            for (_, parts) in &edit.installed {
+                let cross = parts.inter.iter().map(|(&y, &s)| (s, size_after(y)));
+                sum.add(Self::badness(parts.size, parts.intra, cross));
+                clusters += 1;
+                neighbours.extend(parts.inter.keys().copied());
+            }
+            // A neighbour keeps its size and intra sum; its cross sums to the
+            // touched clusters are replaced by the installed ones (an edit
+            // mirrors every installed sum into the neighbour's column).
+            for x in neighbours {
+                if touched.contains(&x) || !agg.contains_cluster(x) {
+                    continue;
+                }
+                sum.add(-Self::cluster_badness(agg, x));
+                let kept = agg
+                    .neighbour_cluster_sums(x)
+                    .filter(|(y, _)| !touched.contains(y))
+                    .map(|(y, s)| (s, agg.cluster_size(y)));
+                let changed = edit
+                    .installed
+                    .iter()
+                    .filter_map(|(_, parts)| parts.inter.get(&x).map(|&s| (s, parts.size)));
+                sum.add(Self::badness(
+                    agg.cluster_size(x),
+                    agg.intra_sum(x),
+                    kept.chain(changed),
+                ));
+            }
+            Self::mean(sum.value(), clusters) - Self::mean(before.rounded, agg.cluster_count())
+        })
     }
 
     /// A cluster id guaranteed not to collide with any id tracked by `agg`
@@ -131,14 +249,11 @@ impl ObjectiveFunction for DbIndexObjective {
         Self::index_from_aggregates(&ClusterAggregates::new(graph, clustering))
     }
 
-    // The index couples clusters through the per-cluster max and the global
-    // mean, so the plain deltas fall back to the default trait implementation
-    // (clone + re-evaluate).  Evaluation walks only stored edges, which keeps
-    // even the fallback affordable; the paper makes the same observation that
-    // DB-index has no exploitable locality.  The `_with` variants below
-    // recover locality from the *aggregates*: the candidate change is
-    // simulated on a cloned aggregate (O(aggregate size), no edge walks, no
-    // similarity recomputation) instead of rebuilding from the graph twice.
+    // The plain deltas keep the trait defaults (clone the clustering, build
+    // its aggregates, evaluate twice): they serve callers that hold no
+    // aggregate.  The `_with` variants below are the serving path: each
+    // builds the change's edit against the maintained aggregate and
+    // re-scores only the changed neighbourhood (see the module docs).
 
     fn evaluate_with(
         &self,
@@ -160,10 +275,7 @@ impl ObjectiveFunction for DbIndexObjective {
         if a == b || !agg.contains_cluster(a) || !agg.contains_cluster(b) {
             return 0.0;
         }
-        let before = Self::index_from_aggregates(agg);
-        let mut after = agg.clone();
-        after.apply_merge(a, b, Self::scratch_id(agg, 0));
-        Self::index_from_aggregates(&after) - before
+        Self::edit_delta(agg, &agg.merge_edit(a, b, Self::scratch_id(agg, 0)))
     }
 
     fn split_delta_with(
@@ -181,12 +293,9 @@ impl ObjectiveFunction for DbIndexObjective {
             return 0.0;
         }
         let rest: BTreeSet<ObjectId> = cluster.members().difference(part).copied().collect();
-        let before = Self::index_from_aggregates(agg);
-        let mut after = agg.clone();
-        let part_id = Self::scratch_id(agg, 0);
-        let rest_id = Self::scratch_id(agg, 1);
-        after.apply_split_members(graph, clustering, cid, part_id, part, rest_id, &rest);
-        Self::index_from_aggregates(&after) - before
+        let (part_id, rest_id) = (Self::scratch_id(agg, 0), Self::scratch_id(agg, 1));
+        let edit = agg.split_edit(graph, clustering, cid, part_id, part, rest_id, &rest);
+        Self::edit_delta(agg, &edit)
     }
 
     fn move_delta_with(
@@ -203,10 +312,7 @@ impl ObjectiveFunction for DbIndexObjective {
         if source == target || !agg.contains_cluster(target) {
             return 0.0;
         }
-        let before = Self::index_from_aggregates(agg);
-        let mut after = agg.clone();
-        after.apply_move(graph, clustering, oid, source, target);
-        Self::index_from_aggregates(&after) - before
+        Self::edit_delta(agg, &agg.move_edit(graph, clustering, oid, source, target))
     }
 }
 

@@ -39,12 +39,14 @@
 pub mod correlation;
 pub mod dbindex;
 pub mod density;
+pub mod exact;
 pub mod kmeans;
 pub mod traits;
 
 pub use correlation::CorrelationObjective;
 pub use dbindex::DbIndexObjective;
 pub use density::DensityObjective;
+pub use exact::{exact_sum, ExactSum};
 pub use kmeans::KMeansObjective;
 pub use traits::{
     improves, DecisionLocality, ObjectiveFunction, ObjectiveKind, SlowPathObjective,

@@ -22,8 +22,16 @@
 //! * [`ClusterAggregates::apply_merge`] — O(neighbour clusters of both sides);
 //! * [`ClusterAggregates::apply_split`] — O(Σ degree of the split cluster's
 //!   members);
-//! * [`ClusterAggregates::apply_move`] — O(degree of the moved object);
+//! * [`ClusterAggregates::apply_move`] — O(degree of the moved object +
+//!   neighbour clusters of its source and target);
 //! * [`ClusterAggregates::apply_batch`] — O(Σ degree of the touched objects).
+//!
+//! Merges, splits and moves are computed as an [`AggregateEdit`] first — the
+//! full after-state of every cluster the change replaces — and then
+//! installed.  The same edit serves objective deltas that must know the
+//! after-state without mutating the aggregate ([`ClusterAggregates::merge_edit`],
+//! [`ClusterAggregates::split_edit`], [`ClusterAggregates::move_edit`]), so a
+//! simulated change and an applied one share their arithmetic bit for bit.
 //!
 //! This is the invariant the serving path relies on: `merge_pass`,
 //! `split_pass`, and the `Engine` round loop thread **one** maintained
@@ -38,8 +46,10 @@
 
 use crate::graph::SimilarityGraph;
 use dc_types::{Cluster, ClusterId, Clustering, ObjectId, Operation, OperationBatch};
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
+use std::sync::{Arc, OnceLock};
 
 /// Cross-edge sums whose absolute value falls below this after a subtraction
 /// are treated as zero and pruned: stored edges always have strictly positive
@@ -129,6 +139,33 @@ pub struct ClusterAggregates {
     /// Symmetric cross-edge sums: `inter[a][b] == inter[b][a] == Σ sim` over
     /// stored edges with one endpoint in `a` and the other in `b`.
     inter: BTreeMap<ClusterId, BTreeMap<ClusterId, f64>>,
+    /// A value derived from exactly this state (see
+    /// [`ClusterAggregates::memo`]); every `&mut self` method drops it.
+    memo: OnceLock<Arc<dyn Any + Send + Sync>>,
+}
+
+/// The state [`ClusterAggregates`] keeps for one cluster.
+#[derive(Debug, Clone)]
+pub struct ClusterParts {
+    /// Number of members.
+    pub size: usize,
+    /// `Σ sim` over stored edges between members.
+    pub intra: f64,
+    /// Cross-edge sums to every neighbouring cluster.
+    pub inter: BTreeMap<ClusterId, f64>,
+}
+
+/// A merge, split or move computed against an aggregate but not applied:
+/// the `retired` clusters leave, and each `installed` cluster (which may
+/// reuse a retired id) enters with its complete after-state.  Installing an
+/// edit also mirrors every installed cross-edge sum into the neighbour's
+/// column, so no other cluster's own sums change.
+#[derive(Debug, Clone, Default)]
+pub struct AggregateEdit {
+    /// Clusters whose current state the change replaces or removes.
+    pub retired: Vec<ClusterId>,
+    /// Clusters present after the change, with their full state.
+    pub installed: Vec<(ClusterId, ClusterParts)>,
 }
 
 impl ClusterAggregates {
@@ -156,7 +193,7 @@ impl ClusterAggregates {
                 }
                 match clustering.cluster_of(b) {
                     Some(cb) if cb == ca => {
-                        *agg.intra.get_mut(&ca).expect("live cluster") += sim;
+                        *agg.intra.entry(ca).or_insert(0.0) += sim;
                     }
                     Some(cb) => {
                         agg.add_inter(ca, cb, sim);
@@ -215,6 +252,7 @@ impl ClusterAggregates {
     /// Panics when `a == b` or either cluster is untracked (a cross-shard
     /// edge always lands between two live clusters of different shards).
     pub fn add_inter_edge(&mut self, a: ClusterId, b: ClusterId, sim: f64) {
+        self.memo.take();
         assert!(
             a != b && self.sizes.contains_key(&a) && self.sizes.contains_key(&b),
             "add_inter_edge requires two distinct tracked clusters"
@@ -247,6 +285,18 @@ impl ClusterAggregates {
         self.sizes.last_key_value().map(|(&c, _)| c)
     }
 
+    /// A value derived from exactly this aggregate state, built by `build`
+    /// on first use and cached until the next mutation: every `&mut self`
+    /// method drops it, so a stale value is never returned.  There is one
+    /// slot per aggregate; `None` means it already holds a value of another
+    /// type, and the caller computes uncached.
+    pub fn memo<T: Any + Send + Sync>(&self, build: impl FnOnce(&Self) -> T) -> Option<&T> {
+        let slot = self
+            .memo
+            .get_or_init(|| Arc::new(build(self)) as Arc<dyn Any + Send + Sync>);
+        (**slot).downcast_ref()
+    }
+
     /// Size of cluster `cid` (0 if absent).
     pub fn cluster_size(&self, cid: ClusterId) -> usize {
         self.sizes.get(&cid).copied().unwrap_or(0)
@@ -267,11 +317,18 @@ impl ClusterAggregates {
         let Some(&n) = self.sizes.get(&cid) else {
             return 0.0;
         };
-        if n <= 1 {
+        Self::intra_avg_of_sum(n, self.intra_sum(cid))
+    }
+
+    /// Average pairwise similarity of a cluster with `size` members whose
+    /// intra sum is `intra`, under the conventions of
+    /// [`ClusterAggregates::intra_avg`] (1 for a singleton).
+    pub fn intra_avg_of_sum(size: usize, intra: f64) -> f64 {
+        if size <= 1 {
             return 1.0;
         }
-        let pairs = (n * (n - 1) / 2) as f64;
-        self.intra_sum(cid) / pairs
+        let pairs = (size * (size - 1) / 2) as f64;
+        intra / pairs
     }
 
     /// Sum of similarities across two distinct clusters (`S_inter(C, C')`).
@@ -345,75 +402,54 @@ impl ClusterAggregates {
     }
 
     // ------------------------------------------------------------------
-    // Incremental maintenance
+    // Structural changes as edits
     // ------------------------------------------------------------------
 
-    /// Fold a merge of clusters `a` and `b` into the new cluster `merged`
-    /// (the id returned by [`Clustering::merge`]) into the aggregates.
+    /// The current state of cluster `cid` (empty when untracked).
+    fn parts(&self, cid: ClusterId) -> ClusterParts {
+        ClusterParts {
+            size: self.cluster_size(cid),
+            intra: self.intra_sum(cid),
+            inter: self.inter.get(&cid).cloned().unwrap_or_default(),
+        }
+    }
+
+    /// The edit merging clusters `a` and `b` into `merged`.
     ///
     /// Cost: O(number of neighbour clusters of `a` and `b`) — no graph edges
     /// are touched, because a merge only re-labels existing sums.
-    pub fn apply_merge(&mut self, a: ClusterId, b: ClusterId, merged: ClusterId) {
-        let ia = self.intra.remove(&a).unwrap_or(0.0);
-        let ib = self.intra.remove(&b).unwrap_or(0.0);
-        let sa = self.sizes.remove(&a).unwrap_or(0);
-        let sb = self.sizes.remove(&b).unwrap_or(0);
-        let ma = self.inter.remove(&a).unwrap_or_default();
-        let mb = self.inter.remove(&b).unwrap_or_default();
-        let cross = ma.get(&b).copied().unwrap_or(0.0);
-
-        let mut merged_map: BTreeMap<ClusterId, f64> = BTreeMap::new();
-        for (x, s) in ma.into_iter().chain(mb) {
+    pub fn merge_edit(&self, a: ClusterId, b: ClusterId, merged: ClusterId) -> AggregateEdit {
+        let mut inter: BTreeMap<ClusterId, f64> = BTreeMap::new();
+        for (x, s) in self
+            .neighbour_cluster_sums(a)
+            .chain(self.neighbour_cluster_sums(b))
+        {
             if x != a && x != b {
-                *merged_map.entry(x).or_insert(0.0) += s;
+                *inter.entry(x).or_insert(0.0) += s;
             }
         }
-        for (&x, &s) in &merged_map {
-            if let Some(mx) = self.inter.get_mut(&x) {
-                mx.remove(&a);
-                mx.remove(&b);
-                mx.insert(merged, s);
-            }
+        let parts = ClusterParts {
+            size: self.cluster_size(a) + self.cluster_size(b),
+            intra: self.intra_sum(a) + self.intra_sum(b) + self.inter_sum(a, b),
+            inter,
+        };
+        AggregateEdit {
+            retired: vec![a, b],
+            installed: vec![(merged, parts)],
         }
-        self.intra.insert(merged, ia + ib + cross);
-        self.sizes.insert(merged, sa + sb);
-        self.inter.insert(merged, merged_map);
     }
 
-    /// Fold a split of cluster `original` into `part_id` and `rest_id` (the
-    /// ids returned by [`Clustering::split`]) into the aggregates, reading the
-    /// two member sets from the post-split `clustering`.
+    /// The edit splitting cluster `original` into `part_id` (members `part`)
+    /// and `rest_id` (members `rest`).  `clustering` may reflect the state
+    /// before or after the split: it is consulted only for objects outside
+    /// `part ∪ rest`, whose membership a split does not change.  A side with
+    /// no members is not installed.
     ///
-    /// Cost: O(Σ degree of the split cluster's members).
-    pub fn apply_split(
-        &mut self,
-        graph: &SimilarityGraph,
-        clustering: &Clustering,
-        original: ClusterId,
-        part_id: ClusterId,
-        rest_id: ClusterId,
-    ) {
-        let part = clustering
-            .cluster(part_id)
-            .expect("part cluster exists after the split")
-            .members()
-            .clone();
-        let rest = clustering
-            .cluster(rest_id)
-            .expect("rest cluster exists after the split")
-            .members()
-            .clone();
-        self.apply_split_members(graph, clustering, original, part_id, &part, rest_id, &rest);
-    }
-
-    /// Like [`ClusterAggregates::apply_split`] but with explicit member sets,
-    /// so callers can *simulate* a split (e.g. for a delta evaluation) before
-    /// mutating the clustering.  `clustering` may reflect the state before or
-    /// after the split: it is consulted only for objects outside
-    /// `part ∪ rest`, whose membership a split does not change.
+    /// Cost: O(Σ degree of the split cluster's members).  Both sides are
+    /// recomputed fresh from their members' edges, which leaves no residue.
     #[allow(clippy::too_many_arguments)]
-    pub fn apply_split_members(
-        &mut self,
+    pub fn split_edit(
+        &self,
         graph: &SimilarityGraph,
         clustering: &Clustering,
         original: ClusterId,
@@ -421,19 +457,7 @@ impl ClusterAggregates {
         part: &BTreeSet<ObjectId>,
         rest_id: ClusterId,
         rest: &BTreeSet<ObjectId>,
-    ) {
-        // Retire the original cluster everywhere.
-        let old_map = self.inter.remove(&original).unwrap_or_default();
-        for x in old_map.keys() {
-            if let Some(mx) = self.inter.get_mut(x) {
-                mx.remove(&original);
-            }
-        }
-        self.intra.remove(&original);
-        self.sizes.remove(&original);
-
-        // Recompute both sides fresh from their members' edges: residue-free
-        // and still local to the split cluster.
+    ) -> AggregateEdit {
         let mut intra_part = 0.0;
         let mut cross = 0.0;
         let mut part_out: BTreeMap<ClusterId, f64> = BTreeMap::new();
@@ -469,41 +493,37 @@ impl ClusterAggregates {
             part_out.insert(rest_id, cross);
             rest_out.insert(part_id, cross);
         }
-        for (&x, &s) in &part_out {
-            if x != rest_id {
-                self.inter.entry(x).or_default().insert(part_id, s);
-            }
+        let sides = [
+            (part_id, part.len(), intra_part, part_out),
+            (rest_id, rest.len(), intra_rest, rest_out),
+        ];
+        AggregateEdit {
+            retired: vec![original],
+            installed: sides
+                .into_iter()
+                .filter(|&(_, size, _, _)| size > 0)
+                .map(|(cid, size, intra, inter)| (cid, ClusterParts { size, intra, inter }))
+                .collect(),
         }
-        for (&x, &s) in &rest_out {
-            if x != part_id {
-                self.inter.entry(x).or_default().insert(rest_id, s);
-            }
-        }
-        self.intra.insert(part_id, intra_part);
-        self.intra.insert(rest_id, intra_rest);
-        self.sizes.insert(part_id, part.len());
-        self.sizes.insert(rest_id, rest.len());
-        self.inter.insert(part_id, part_out);
-        self.inter.insert(rest_id, rest_out);
     }
 
-    /// Fold a move of object `oid` from cluster `from` into cluster `to`.
+    /// The edit moving object `oid` from cluster `from` into cluster `to`.
     /// `clustering` may reflect the state before or after the move: only the
     /// memberships of `oid`'s *neighbours* are consulted, and a move changes
-    /// none of them.  If `from` is left empty it is dropped, matching
+    /// none of them.  If `from` is left empty it is retired, matching
     /// [`Clustering::move_object`].
     ///
-    /// Cost: O(degree of `oid`).
-    pub fn apply_move(
-        &mut self,
+    /// Cost: O(degree of `oid` + neighbour clusters of `from` and `to`).
+    pub fn move_edit(
+        &self,
         graph: &SimilarityGraph,
         clustering: &Clustering,
         oid: ObjectId,
         from: ClusterId,
         to: ClusterId,
-    ) {
+    ) -> AggregateEdit {
         if from == to {
-            return;
+            return AggregateEdit::default();
         }
         // Per-neighbour-cluster similarity sums of the moved object.
         let mut sums: BTreeMap<ClusterId, f64> = BTreeMap::new();
@@ -517,29 +537,106 @@ impl ClusterAggregates {
         }
         let to_from = sums.get(&from).copied().unwrap_or(0.0);
         let to_to = sums.get(&to).copied().unwrap_or(0.0);
-        let from_drops = self.sizes.get(&from).copied().unwrap_or(0) <= 1;
+        let mut source = self.parts(from);
+        let mut target = self.parts(to);
 
         // Edges to members of `from` flip intra → cross; edges to members of
         // `to` flip cross → intra; edges to any other cluster X move from
         // `from`'s column to `to`'s.
-        self.sub_intra(from, to_from);
-        *self.intra.entry(to).or_insert(0.0) += to_to;
+        source.intra = residue_sub(source.intra, to_from).unwrap_or(0.0);
+        target.intra += to_to;
         for (&x, &s) in &sums {
             if x == from || x == to {
                 continue;
             }
-            self.sub_inter(from, x, s);
-            self.add_inter(to, x, s);
+            sub_sum(&mut source.inter, x, s);
+            add_sum(&mut target.inter, x, s);
         }
-        self.sub_inter(from, to, to_to);
-        self.add_inter(from, to, to_from);
+        sub_sum(&mut source.inter, to, to_to);
+        add_sum(&mut source.inter, to, to_from);
+        target.size += 1;
+        if source.size <= 1 {
+            target.inter.remove(&from);
+            return AggregateEdit {
+                retired: vec![from, to],
+                installed: vec![(to, target)],
+            };
+        }
+        match source.inter.get(&to) {
+            Some(&s) => target.inter.insert(from, s),
+            None => target.inter.remove(&from),
+        };
+        source.size -= 1;
+        AggregateEdit {
+            retired: vec![from, to],
+            installed: vec![(from, source), (to, target)],
+        }
+    }
 
-        *self.sizes.entry(to).or_insert(0) += 1;
-        if from_drops {
-            self.drop_cluster(from);
-        } else if let Some(s) = self.sizes.get_mut(&from) {
-            *s -= 1;
+    /// Install an edit: retire its clusters, detaching them from their
+    /// neighbours, then insert every installed cluster and mirror its
+    /// cross-edge sums into the neighbours' columns.
+    fn apply_edit(&mut self, edit: AggregateEdit) {
+        self.memo.take();
+        for cid in edit.retired {
+            self.drop_cluster(cid);
         }
+        for (cid, parts) in edit.installed {
+            for (&x, &s) in &parts.inter {
+                self.inter.entry(x).or_default().insert(cid, s);
+            }
+            self.sizes.insert(cid, parts.size);
+            self.intra.insert(cid, parts.intra);
+            self.inter.insert(cid, parts.inter);
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Incremental maintenance
+    // ------------------------------------------------------------------
+
+    /// Fold a merge of clusters `a` and `b` into the new cluster `merged`
+    /// (the id returned by [`Clustering::merge`]) into the aggregates.
+    ///
+    /// Cost: O(number of neighbour clusters of `a` and `b`).
+    pub fn apply_merge(&mut self, a: ClusterId, b: ClusterId, merged: ClusterId) {
+        let edit = self.merge_edit(a, b, merged);
+        self.apply_edit(edit);
+    }
+
+    /// Fold a split of cluster `original` into `part_id` and `rest_id` (the
+    /// ids returned by [`Clustering::split`]) into the aggregates, reading the
+    /// two member sets from the post-split `clustering` (a cluster missing
+    /// from it counts as empty).
+    ///
+    /// Cost: O(Σ degree of the split cluster's members).
+    pub fn apply_split(
+        &mut self,
+        graph: &SimilarityGraph,
+        clustering: &Clustering,
+        original: ClusterId,
+        part_id: ClusterId,
+        rest_id: ClusterId,
+    ) {
+        let none = BTreeSet::new();
+        let part = clustering.cluster(part_id).map_or(&none, Cluster::members);
+        let rest = clustering.cluster(rest_id).map_or(&none, Cluster::members);
+        let edit = self.split_edit(graph, clustering, original, part_id, part, rest_id, rest);
+        self.apply_edit(edit);
+    }
+
+    /// Fold a move of object `oid` from cluster `from` into cluster `to`
+    /// (see [`ClusterAggregates::move_edit`]).
+    pub fn apply_move(
+        &mut self,
+        graph: &SimilarityGraph,
+        clustering: &Clustering,
+        oid: ObjectId,
+        from: ClusterId,
+        to: ClusterId,
+    ) {
+        let edit = self.move_edit(graph, clustering, oid, from, to);
+        self.apply_edit(edit);
     }
 
     /// Attach a freshly clustered object: `oid` must already be present in
@@ -549,6 +646,7 @@ impl ClusterAggregates {
     ///
     /// Cost: O(degree of `oid`).
     pub fn apply_add(&mut self, graph: &SimilarityGraph, clustering: &Clustering, oid: ObjectId) {
+        self.memo.take();
         let Some(cid) = clustering.cluster_of(oid) else {
             return;
         };
@@ -585,6 +683,7 @@ impl ClusterAggregates {
         oid: ObjectId,
         from: ClusterId,
     ) {
+        self.memo.take();
         for (n, sim) in graph.neighbors(oid) {
             if n == oid {
                 continue;
@@ -620,6 +719,7 @@ impl ClusterAggregates {
         clustering: &mut Clustering,
         batch: &OperationBatch,
     ) -> Vec<ObjectId> {
+        self.memo.take();
         let mut isolated = Vec::new();
         for op in batch.iter() {
             match op {
@@ -677,6 +777,7 @@ impl ClusterAggregates {
             sizes,
             intra,
             inter,
+            memo: OnceLock::new(),
         }
     }
 
@@ -688,38 +789,25 @@ impl ClusterAggregates {
         if s == 0.0 || a == b {
             return;
         }
-        *self.inter.entry(a).or_default().entry(b).or_insert(0.0) += s;
-        *self.inter.entry(b).or_default().entry(a).or_insert(0.0) += s;
+        add_sum(self.inter.entry(a).or_default(), b, s);
+        add_sum(self.inter.entry(b).or_default(), a, s);
     }
 
     fn sub_inter(&mut self, a: ClusterId, b: ClusterId, s: f64) {
-        if s == 0.0 || a == b {
+        if a == b {
             return;
         }
-        let mut prune = false;
-        if let Some(v) = self.inter.get_mut(&a).and_then(|m| m.get_mut(&b)) {
-            *v -= s;
-            prune = v.abs() < RESIDUE_EPSILON;
+        if let Some(m) = self.inter.get_mut(&a) {
+            sub_sum(m, b, s);
         }
-        if let Some(v) = self.inter.get_mut(&b).and_then(|m| m.get_mut(&a)) {
-            *v -= s;
-        }
-        if prune {
-            if let Some(m) = self.inter.get_mut(&a) {
-                m.remove(&b);
-            }
-            if let Some(m) = self.inter.get_mut(&b) {
-                m.remove(&a);
-            }
+        if let Some(m) = self.inter.get_mut(&b) {
+            sub_sum(m, a, s);
         }
     }
 
     fn sub_intra(&mut self, cid: ClusterId, s: f64) {
         if let Some(v) = self.intra.get_mut(&cid) {
-            *v -= s;
-            if v.abs() < RESIDUE_EPSILON {
-                *v = 0.0;
-            }
+            *v = residue_sub(*v, s).unwrap_or(0.0);
         }
     }
 
@@ -776,12 +864,7 @@ impl ClusterAggregates {
 
     /// Average pairwise similarity inside an explicit member set.
     pub fn intra_avg_of_members(graph: &SimilarityGraph, cluster: &Cluster) -> f64 {
-        let n = cluster.len();
-        if n <= 1 {
-            return 1.0;
-        }
-        let pairs = (n * (n - 1) / 2) as f64;
-        Self::intra_sum_of_members(graph, cluster) / pairs
+        Self::intra_avg_of_sum(cluster.len(), Self::intra_sum_of_members(graph, cluster))
     }
 
     /// Average similarity between object `oid` and the *other* members of
@@ -868,6 +951,40 @@ impl ClusterAggregates {
             0.0
         } else {
             sum / denom as f64
+        }
+    }
+}
+
+/// `v − s`, or `None` when the difference is a residue below
+/// [`RESIDUE_EPSILON`] (which callers prune or clamp to zero).
+fn residue_sub(v: f64, s: f64) -> Option<f64> {
+    let d = v - s;
+    if d.abs() < RESIDUE_EPSILON {
+        None
+    } else {
+        Some(d)
+    }
+}
+
+/// Add `s` to the cross-edge sum stored under `key` (starting from 0).
+fn add_sum(map: &mut BTreeMap<ClusterId, f64>, key: ClusterId, s: f64) {
+    if s != 0.0 {
+        *map.entry(key).or_insert(0.0) += s;
+    }
+}
+
+/// Subtract `s` from the cross-edge sum stored under `key`, pruning the
+/// entry when only a residue is left.
+fn sub_sum(map: &mut BTreeMap<ClusterId, f64>, key: ClusterId, s: f64) {
+    if s == 0.0 {
+        return;
+    }
+    if let Some(v) = map.get_mut(&key) {
+        match residue_sub(*v, s) {
+            Some(d) => *v = d,
+            None => {
+                map.remove(&key);
+            }
         }
     }
 }

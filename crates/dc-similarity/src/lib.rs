@@ -47,7 +47,10 @@ pub mod profile;
 pub mod router;
 pub mod text;
 
-pub use aggregates::{full_build_count, BuildCounter, ClusterAggregates, FULL_BUILDS_COUNTER};
+pub use aggregates::{
+    full_build_count, AggregateEdit, BuildCounter, ClusterAggregates, ClusterParts,
+    FULL_BUILDS_COUNTER,
+};
 pub use blocking::{BlockingStrategy, GridBlocking, TokenBlocking};
 pub use boundary::BoundaryIndex;
 pub use graph::{GraphConfig, SimilarityGraph};
