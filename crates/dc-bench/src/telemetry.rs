@@ -47,8 +47,8 @@ pub const SMOKE_CHECKPOINT_EVERY: usize = 2;
 /// [`TelemetrySmokeResult::phase_coverage`].
 pub const ROUND_PHASES: [&str; 5] = [
     "round.route",
+    "round.group_commit",
     "round.shard_apply",
-    "round.refine_wal_append",
     "round.refine",
     "round.checkpoint",
 ];
@@ -211,12 +211,11 @@ pub const REQUIRED_SMOKE_METRICS: &[&str] = &[
     "shard.batch_imbalance",  // routing balance gauge
     "round.total",            // sharded round breakdown
     "round.route",
+    "round.group_commit", // stage + seal of every WAL
     "round.shard_apply",
     "round.refine",
-    "round.refine_wal_append",
     "round.checkpoint",
-    "round.wal_append", // per-shard durable append phase
-    "storage.fsync",    // storage
+    "storage.fsync", // storage
     "storage.wal_append",
     "storage.wal_bytes_appended",
     "storage.snapshot_write",

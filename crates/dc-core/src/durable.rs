@@ -59,17 +59,19 @@ pub struct DurabilityOptions {
     /// available).  Smaller values bound recovery replay at the cost of
     /// snapshot writes.
     pub checkpoint_every_rounds: usize,
-    /// Group-commit the per-shard WAL appends of a sharded round: stage every
-    /// shard's frame without fsyncing and make the round durable with a
-    /// single fsync of the shared group (refine) WAL, cutting a round's fsync
-    /// cost from N+1 to 1 at N shards.  The commit rule is unchanged — a
-    /// round is acknowledged only once every WAL holds it durably (the group
-    /// fsync is ordered after all staged writes); recovery heals shard WALs
-    /// that lost their unsynced tail by replaying from the group WAL.
+    /// How a sharded round is sealed.  Every shard stages its frame without
+    /// fsyncing and the shared group (refine) WAL then appends the full
+    /// batch and fsyncs — the round's commit point.  With `group_commit` on
+    /// that is the round's only fsync; with it off every shard WAL is
+    /// fsynced before the seal, so a round at N shards costs 1 fsync or
+    /// N+1.  At one shard there is no group WAL and both settings cost the
+    /// shard's one fsync.  Either way recovery heals shard WALs that lost
+    /// their unsynced tail by replaying from the group WAL.
     ///
-    /// Only the sharded engine reads this flag (a single [`DurableEngine`]
-    /// already pays exactly one fsync per round); it is the default for the
-    /// pipelined front-end (`dc_core::pipeline`).
+    /// The rule is the same whether
+    /// [`crate::ShardedDurableEngine::apply_round`] or the pipelined
+    /// front-end (`dc_core::pipeline`) serves the round.  A single
+    /// [`DurableEngine`] ignores the flag: it pays one fsync per round.
     pub group_commit: bool,
 }
 

@@ -1,10 +1,9 @@
 //! Pipelined ingestion front-end: adaptive batching, cross-shard group
 //! commit, and apply/refine overlap over a [`ShardedDurableEngine`].
 //!
-//! The synchronous sharded round is a strict sequence — route → log (one
-//! fsync **per shard** plus one for the refine WAL) → apply → refine — so
-//! op latency is gated by the slowest phase and every round pays N+1 fsyncs.
-//! This module turns that loop into a three-stage pipeline:
+//! The synchronous sharded round is a strict sequence — route → log → apply
+//! → refine — so op latency is gated by the slowest phase.  This module
+//! turns that loop into a three-stage pipeline:
 //!
 //! 1. **Admission.**  Callers [`PipelinedEngine::submit`] single operations
 //!    into a bounded hand-rolled MPSC channel ([`bounded_channel`]; the
@@ -12,14 +11,17 @@
 //!    backpressure is the protocol; nothing is ever dropped or reordered.
 //! 2. **Batch formation + group commit.**  A coordinator thread drains the
 //!    queue into rounds sized by an [`AdaptiveBatcher`] (grow while commit
-//!    latency is under target, shrink when over), routes each round, then
-//!    **stages** every shard's WAL append and the refine WAL's full-batch
-//!    append without fsync and commits the whole round with **one** fsync
-//!    of the refine WAL — the group-commit log.  The commit rule is
-//!    unchanged: a round is acknowledged only once a WAL durably holds it;
-//!    because the refine WAL holds the *full* batch, recovery re-derives
-//!    (heals) any shard WAL tail the crash cut off.  With one shard there
-//!    is no refine WAL and the single fsync lands on the shard's own WAL.
+//!    latency is under target, shrink when over) and commits each one with
+//!    the sharded engine's own commit step
+//!    ([`ShardedDurableEngine::commit_round`]): route, stage every shard's
+//!    WAL append, then seal the round on the refine WAL — the group-commit
+//!    log, which holds the *full* batch.  With
+//!    [`crate::DurabilityOptions::group_commit`] on that seal is the
+//!    round's **one** fsync; with it off every shard WAL is fsynced first
+//!    (N+1).  A round is acknowledged only once the seal returns, and
+//!    recovery re-derives (heals) any shard WAL tail the crash cut off.
+//!    With one shard there is no refine WAL and the shard's own fsync is
+//!    the seal.
 //! 3. **Apply/refine overlap.**  After the commit fsync the round is handed
 //!    to a refine worker thread through a second bounded channel (capacity
 //!    = the in-flight window), then the shards apply it in parallel on the
@@ -28,11 +30,12 @@
 //!    coordinator (`pipeline.overlap_stall`), bounding how far the refined
 //!    view may trail the shards.
 //!
-//! Refinement uses [`CrossShardRefiner::replay_round`] — the reuse-free
-//! path that recomputes every cross-shard pair against the mirror's own
-//! records — so the worker needs no access to the shard engines at all,
-//! and its result is bit-identical to the synchronous engine's.  The
-//! headline invariant, pinned by `tests/pipeline_equivalence.rs`: after
+//! The worker runs the refiner's one round fold
+//! ([`crate::refine::CrossShardRefiner::fold_round`], the same call the
+//! synchronous engine and recovery make), which computes every pair
+//! against the mirror's own records and so needs no access to the shard
+//! engines at all.  The headline invariant, pinned by
+//! `tests/pipeline_equivalence.rs`: after
 //! [`PipelinedEngine::close`], the clustering, the refined clustering, and
 //! the recovered-after-crash state are all bit-identical to a synchronous
 //! [`ShardedDurableEngine`] serving the same batches.
@@ -45,12 +48,8 @@
 //! their deltas merge back into the closing thread's sink, coordinator
 //! first, on [`PipelinedEngine::close`].
 
-use crate::refine::CrossShardRefiner;
-use crate::shard::{
-    parallel_shard_rounds, record_batch_imbalance, DurableRefine, PipelineParts,
-    ShardedDurableEngine,
-};
-use dc_storage::{Snapshotter, StorageError, Wal};
+use crate::shard::ShardedDurableEngine;
+use dc_storage::StorageError;
 use dc_telemetry::{clock, Span};
 use dc_types::{Operation, OperationBatch};
 use std::collections::VecDeque;
@@ -64,13 +63,16 @@ use std::time::{Duration, Instant};
 
 /// Lock `m`, recovering from poisoning.
 ///
-/// Every mutex in this module guards state whose invariants hold between
-/// critical sections (a queue, a set of counters): a panic on another
-/// thread mid-section cannot leave them torn in a way later readers would
+/// The queue and counter mutexes of this module guard state whose
+/// invariants hold between critical sections: a panic on another thread
+/// mid-section cannot leave them torn in a way later readers would
 /// misinterpret, so propagating the poison as a second panic would only
 /// turn one failure into two.  Worker panics are surfaced once, as typed
-/// errors, at the join points in [`PipelinedEngine::close`].
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// errors, at the join points in [`PipelinedEngine::close`], which then
+/// hands no engine back.  The sharded engine's read accessors take its
+/// refiner lock this way too; its round fold and checkpoint refuse a
+/// poisoned refiner instead, since a fold that panicked left it torn.
+pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -437,8 +439,8 @@ pub enum PipelineError {
         /// The failure the coordinator stopped on.
         StorageError,
     ),
-    /// A pipeline worker thread panicked, so the engine cannot be
-    /// reassembled; the on-disk state holds every round that group-committed
+    /// A pipeline worker thread panicked, so the engine is not handed
+    /// back; the on-disk state holds every round that group-committed
     /// before the panic and recovers via [`ShardedDurableEngine::open`].
     WorkerPanicked(
         /// Which worker: `"coordinator"` or `"refine worker"`.
@@ -542,24 +544,19 @@ impl Progress {
 
 /// Everything the coordinator thread hands back when it exits.
 struct CoordinatorExit {
-    parts: PipelineParts,
-    refine_wal: Option<Wal>,
-    snapshotter: Option<Snapshotter>,
+    engine: ShardedDurableEngine,
     error: Option<StorageError>,
     report: PipelineReport,
     telemetry: dc_telemetry::ThreadDelta,
 }
 
-/// The coordinator thread's working set: the engine parts it owns while
-/// serving, plus its ends of the two channels.
+/// The coordinator thread's working set: the engine it serves, plus its
+/// ends of the two channels.
 struct Coordinator {
-    parts: PipelineParts,
+    engine: ShardedDurableEngine,
     options: PipelineOptions,
     admit_rx: BoundedReceiver<Admit>,
     refine_tx: Option<BoundedSender<(OperationBatch, Vec<usize>)>>,
-    refiner: Option<Arc<Mutex<CrossShardRefiner>>>,
-    refine_wal: Option<Wal>,
-    snapshotter: Option<Snapshotter>,
     progress: Arc<Progress>,
     abort: Arc<AtomicBool>,
 }
@@ -622,9 +619,7 @@ impl Coordinator {
             }
         }
         CoordinatorExit {
-            parts: self.parts,
-            refine_wal: self.refine_wal,
-            snapshotter: self.snapshotter,
+            engine: self.engine,
             error,
             report,
             telemetry: dc_telemetry::registry().drain(),
@@ -643,31 +638,7 @@ impl Coordinator {
     ) -> Result<(), StorageError> {
         let reg = dc_telemetry::registry();
         let ops = batch.len();
-
-        let span = reg.span("round.route");
-        let routed = self
-            .parts
-            .router
-            .route_batch(&batch, &mut self.parts.assignment);
-        span.finish();
-        record_batch_imbalance(&routed.sub_batches);
-
-        // Group commit: stage all shard appends, seal with one fsync of the
-        // group-commit log (the refine WAL; the lone shard's WAL at N=1).
-        let round = self.parts.rounds_served as u64 + 1;
-        let commit_span = reg.span("pipeline.group_commit");
-        for (shard, sub) in self.parts.shards.iter_mut().zip(&routed.sub_batches) {
-            let logged = shard.log_round_nosync(sub)?;
-            debug_assert_eq!(logged, round, "shards advance in lock-step");
-        }
-        match self.refine_wal.as_mut() {
-            Some(wal) => {
-                wal.append_round_nosync(round, &batch)?;
-                wal.sync()?;
-            }
-            None => self.parts.shards[0].wal_sync()?,
-        }
-        let commit_ns = commit_span.finish_ns();
+        let (routed, commit_ns) = self.engine.commit_round(&batch, "pipeline.group_commit")?;
 
         // The round is durable: acknowledge it before any in-memory work,
         // so flush barriers and latency spans see commit time.  Finishing
@@ -693,8 +664,8 @@ impl Coordinator {
         });
 
         // Hand the round to the refine worker *before* applying it to the
-        // shards: replay_round never touches the shard engines, so the two
-        // run concurrently — that is the overlap.
+        // shards: the fold never touches the shard engines, so the two run
+        // concurrently — that is the overlap.
         if let Some(tx) = &self.refine_tx {
             if tx.len() >= self.options.max_inflight_refine_rounds.max(1) {
                 report.overlap_stalls += 1;
@@ -708,28 +679,16 @@ impl Coordinator {
             span.finish();
         }
 
-        let span = reg.span("round.shard_apply");
-        let _reports = parallel_shard_rounds(
-            &mut self.parts.shards,
-            &routed.sub_batches,
-            self.parts.max_threads,
-            |shard, sub| shard.apply_logged(sub),
-        );
-        span.finish();
-        self.parts.rounds_served += 1;
+        self.engine.apply_committed(&routed);
         batcher.observe(ops, commit_ns);
 
-        let every = self.parts.options.checkpoint_every_rounds as u64;
-        if every > 0
-            && (self.parts.rounds_served as u64).is_multiple_of(every)
-            && !self.abort.load(Ordering::Relaxed)
-        {
+        if self.engine.checkpoint_due() && !self.abort.load(Ordering::Relaxed) {
             // A checkpoint snapshots the refiner, so the refined view must
             // first catch up with every committed round.
             self.wait_refined();
             if !self.abort.load(Ordering::Relaxed) {
                 let span = reg.span("round.checkpoint");
-                self.checkpoint()?;
+                self.engine.checkpoint()?;
                 span.finish();
             }
         }
@@ -743,30 +702,6 @@ impl Coordinator {
             state = wait_unpoisoned(&self.progress.cond, state);
         }
     }
-
-    /// Checkpoint every shard, then the refinement layer — the same order
-    /// and effect as [`ShardedDurableEngine::checkpoint`].
-    fn checkpoint(&mut self) -> Result<u64, StorageError> {
-        for shard in &mut self.parts.shards {
-            shard.checkpoint()?;
-        }
-        let round = self.parts.rounds_served as u64;
-        if let (Some(wal), Some(snapshotter), Some(refiner)) = (
-            self.refine_wal.as_mut(),
-            self.snapshotter.as_mut(),
-            self.refiner.as_ref(),
-        ) {
-            {
-                let refiner = lock_unpoisoned(refiner);
-                snapshotter.write(round, &refiner.snapshot_ref())?;
-            }
-            if wal.start_round() != round {
-                *wal = Wal::create(snapshotter.dir(), round)?;
-            }
-            snapshotter.prune_obsolete(round)?;
-        }
-        Ok(round)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -779,11 +714,12 @@ impl Coordinator {
 /// refinement with shard apply.  See the [module docs](crate::pipeline)
 /// for the full protocol.
 ///
-/// Rounds are always **group-committed** (one fsync per round) regardless
-/// of the engine's own [`crate::DurabilityOptions::group_commit`] flag;
-/// the `checkpoint_every_rounds` cadence is honored, with each checkpoint
-/// first waiting for the refine worker to catch up so no snapshot gets
-/// ahead of the refined view.
+/// Rounds are committed exactly as [`ShardedDurableEngine::apply_round`]
+/// commits them, so the engine's [`crate::DurabilityOptions`] mean the same
+/// thing here: `group_commit` on seals each round with one fsync, off with
+/// N+1.  The `checkpoint_every_rounds` cadence is honored, with each
+/// checkpoint first waiting for the refine worker to catch up so no
+/// snapshot gets ahead of the refined view.
 ///
 /// [`PipelinedEngine::close`] drains everything and hands the engine back.
 /// [`PipelinedEngine::kill`] (or a plain drop) abandons in-flight work:
@@ -794,7 +730,6 @@ pub struct PipelinedEngine {
     submitted_ops: AtomicU64,
     progress: Arc<Progress>,
     abort: Arc<AtomicBool>,
-    refiner: Option<Arc<Mutex<CrossShardRefiner>>>,
     coordinator: Option<std::thread::JoinHandle<CoordinatorExit>>,
     refine_worker: Option<std::thread::JoinHandle<dc_telemetry::ThreadDelta>>,
 }
@@ -803,44 +738,31 @@ impl PipelinedEngine {
     /// Take ownership of an open [`ShardedDurableEngine`] and start serving
     /// its operation stream through the pipeline.
     pub fn start(engine: ShardedDurableEngine, options: PipelineOptions) -> Self {
-        let mut parts = engine.into_pipeline_parts();
         let progress = Arc::new(Progress::new());
         let abort = Arc::new(AtomicBool::new(false));
         let enabled = dc_telemetry::registry().is_enabled();
 
         let (admit_tx, admit_rx) = bounded_channel::<Admit>(options.queue_capacity);
 
-        // Split the refine plumbing: the coordinator keeps the WAL and
-        // snapshotter; the worker (and checkpoints) share the refiner.
-        let (refiner, refine_wal, snapshotter) = match parts.refine.take() {
-            Some(refine) => (
-                Some(Arc::new(Mutex::new(refine.refiner))),
-                Some(refine.wal),
-                Some(refine.snapshotter),
-            ),
-            None => (None, None, None),
-        };
-
-        // Refine worker: folds committed rounds into the shared refiner
-        // using shard 0's pass configuration (all shards carry an identical
-        // one — validated when the refiner was built).
-        let (refine_tx, refine_worker) = match &refiner {
+        // Refine worker: folds committed rounds into the engine's shared
+        // refiner using shard 0's pass configuration (all shards carry an
+        // identical one — validated when the refiner was built).
+        let (refine_tx, refine_worker) = match engine.shared_refiner() {
             Some(refiner) => {
                 let (tx, rx) = bounded_channel::<(OperationBatch, Vec<usize>)>(
                     options.max_inflight_refine_rounds.max(1),
                 );
-                let refiner = Arc::clone(refiner);
-                let dynamicc = parts.shards[0].engine().dynamicc().clone();
+                let dynamicc = engine.shards()[0].engine().dynamicc().clone();
                 let progress = Arc::clone(&progress);
                 let abort = Arc::clone(&abort);
-                let max_threads = parts.max_threads;
+                let max_threads = engine.max_threads();
                 let handle = std::thread::spawn(move || {
                     let reg = dc_telemetry::registry();
                     reg.set_enabled(enabled);
                     while let Some((batch, op_shards)) = rx.recv() {
                         if !abort.load(Ordering::Relaxed) {
                             let span = reg.span("pipeline.refine");
-                            lock_unpoisoned(&refiner).replay_round(
+                            lock_unpoisoned(&refiner).fold_round(
                                 &batch,
                                 &op_shards,
                                 &dynamicc,
@@ -861,13 +783,10 @@ impl PipelinedEngine {
 
         let coordinator = {
             let coordinator = Coordinator {
-                parts,
+                engine,
                 options,
                 admit_rx,
                 refine_tx,
-                refiner: refiner.clone(),
-                refine_wal,
-                snapshotter,
                 progress: Arc::clone(&progress),
                 abort: Arc::clone(&abort),
             };
@@ -882,7 +801,6 @@ impl PipelinedEngine {
             submitted_ops: AtomicU64::new(0),
             progress,
             abort,
-            refiner,
             coordinator: Some(coordinator),
             refine_worker,
         }
@@ -942,7 +860,7 @@ impl PipelinedEngine {
     /// Stop admitting, drain every queued operation through commit, apply,
     /// and refinement, join the worker threads (merging their telemetry
     /// into this thread's sink, coordinator first), and hand back the
-    /// reassembled synchronous engine plus the session report.
+    /// engine plus the session report.
     pub fn close(mut self) -> Result<(ShardedDurableEngine, PipelineReport), PipelineError> {
         drop(self.sender.take());
         let Some(coordinator) = self.coordinator.take() else {
@@ -950,7 +868,7 @@ impl PipelinedEngine {
             // the ownership model forbids; a typed error beats a panic.
             return Err(PipelineError::Closed);
         };
-        let mut exit = coordinator
+        let exit = coordinator
             .join()
             .map_err(|_| PipelineError::WorkerPanicked("coordinator"))?;
         exit.telemetry.merge_into_current();
@@ -960,40 +878,10 @@ impl PipelinedEngine {
                 .map_err(|_| PipelineError::WorkerPanicked("refine worker"))?
                 .merge_into_current();
         }
-        if let Some(error) = exit.error.take() {
-            return Err(PipelineError::Storage(error));
+        match exit.error {
+            Some(error) => Err(PipelineError::Storage(error)),
+            None => Ok((exit.engine, exit.report)),
         }
-        let refine = match self.refiner.take() {
-            Some(refiner) => {
-                // Both workers are joined, so this Arc is the last one; a
-                // still-shared refiner means a worker leaked its clone.
-                let refiner = Arc::try_unwrap(refiner)
-                    .map_err(|_| PipelineError::WorkerPanicked("refine worker"))?
-                    .into_inner()
-                    .unwrap_or_else(PoisonError::into_inner);
-                let (Some(wal), Some(snapshotter)) =
-                    (exit.refine_wal.take(), exit.snapshotter.take())
-                else {
-                    // The WAL and snapshotter ride with the refiner; losing
-                    // them means the coordinator exited mid-teardown.
-                    return Err(PipelineError::Storage(StorageError::Inconsistent(
-                        "pipeline closed without its refine WAL and snapshotter".into(),
-                    )));
-                };
-                Some(DurableRefine {
-                    refiner,
-                    wal,
-                    snapshotter,
-                })
-            }
-            None => None,
-        };
-        let mut parts = exit.parts;
-        parts.refine = refine;
-        Ok((
-            ShardedDurableEngine::from_pipeline_parts(parts),
-            exit.report,
-        ))
     }
 
     /// Abandon the pipeline without draining: queued and in-flight work is

@@ -17,10 +17,12 @@
 //!    maintained across rounds, exactly shaped like the unsharded
 //!    [`Engine`]'s state:
 //!
-//!    * a **mirror** — a global union [`SimilarityGraph`] whose records and
-//!      edge weights are copied verbatim from the per-shard graphs (no
-//!      similarity is ever recomputed for them) plus the recovered
-//!      cross-shard edges;
+//!    * a **mirror** — a global union [`SimilarityGraph`] seeded verbatim
+//!      from the per-shard graphs' records and edges plus the recovered
+//!      cross-shard edges, then maintained by the round fold, which
+//!      computes each touched pair against the mirror's own records (the
+//!      same weight the owning shard computed, since the measure and the
+//!      records are the same);
 //!    * the **refined clustering** — seeded by an initial repair of the
 //!      partition (merged per-shard clusterings + union aggregates + the
 //!      trained passes run globally), then evolved per round exactly like
@@ -145,9 +147,9 @@ pub(crate) struct CrossShardRefiner {
     cross: BTreeMap<ObjectId, BTreeMap<ObjectId, f64>>,
     cross_edge_count: usize,
     cross_comparisons: u64,
-    /// Global union graph: per-shard records and edges mirrored verbatim,
-    /// plus the recovered cross-shard edges.  Never computes a similarity
-    /// for an intra-shard pair.
+    /// Global union graph: per-shard records and edges, plus the recovered
+    /// cross-shard edges.  Seeded verbatim from the shard graphs; the round
+    /// fold recomputes touched pairs against its own records.
     mirror: SimilarityGraph,
     refined: Clustering,
     /// Maintained aggregates for `(mirror, refined)` — carried across
@@ -393,44 +395,32 @@ impl CrossShardRefiner {
     /// blocking keys, edges to every mirror candidate, and the cross-edge
     /// cache.
     ///
-    /// Edge weights are **reused** from the owning shard's (post-round)
-    /// graph whenever that graph holds both endpoints with the records the
-    /// mirror currently sees — the steady-state case, where the shard
-    /// already paid for the computation.  Everything else — cross-shard
-    /// pairs, neighbours whose record is mid-batch stale, objects the shard
-    /// graph no longer holds, and all pairs during durable replay
-    /// (`reuse = None`) — is computed against the mirror's *current*
+    /// Every candidate pair is computed against the mirror's *current*
     /// records, which is exactly what the unsharded engine computed at this
-    /// position of the batch.  Reused and computed weights are bit-identical
-    /// (same measure, same records), so the normal and replay paths build
-    /// the same mirror down to the bit.
+    /// position of the batch.  An intra-shard pair gets the weight its
+    /// shard's graph computed too (same measure, same records), so the fold
+    /// never reads the shard engines: it builds the same mirror, down to the
+    /// bit, whether it runs right after the shards applied the round, behind
+    /// them on the pipelined refine worker, or during recovery replay.
     ///
-    /// The pairs that do need the measure are computed on the scoped pool:
-    /// the measure is a pure function of the two records and the serial
-    /// install below walks the candidates in their original (sorted) order,
-    /// so the mirror, the cross cache, and the comparison counters come out
-    /// bit-identical at every thread count.  Without this, the refiner's
-    /// fold would serialize the one per-op cost that actually grows with
-    /// the workload and cap the sharded engine's refined-mode speedup.
+    /// The pairs are computed on the scoped pool: the measure is a pure
+    /// function of the two records and the serial install below walks the
+    /// candidates in their original (sorted) order, so the mirror, the cross
+    /// cache, and the comparison counters come out bit-identical at every
+    /// thread count.  Without this, the refiner's fold would serialize the
+    /// one per-op cost that actually grows with the workload and cap the
+    /// sharded engine's refined-mode speedup.
     fn attach(
         &mut self,
         id: ObjectId,
         shard: usize,
         record: &dc_types::Record,
-        reuse: Option<&[&Engine]>,
         max_threads: usize,
     ) {
-        enum Pending {
-            Reused { n: ObjectId, sim: f64 },
-            Compute { n: ObjectId, cross: bool },
-        }
         // Candidates are queried before the record is indexed, matching
         // `SimilarityGraph::add_object` (the unsharded order).
         let candidates = self.mirror.candidate_ids(record);
         self.mirror.install_record(id, record.clone());
-        let graph = reuse.map(|shards| shards[shard].graph());
-        let id_in_shard = graph.is_some_and(|g| g.contains(id));
-
         let mut plan = Vec::with_capacity(candidates.len());
         for n in candidates {
             if n == id || !self.mirror.contains(n) {
@@ -440,33 +430,14 @@ impl CrossShardRefiner {
                 .boundary
                 .shard_of(n)
                 .expect("mirror and boundary track the same records");
-            if n_shard == shard {
-                let fresh =
-                    id_in_shard && graph.is_some_and(|g| g.record(n) == self.mirror.record(n));
-                if fresh {
-                    // The shard computed this pair; 0 means sub-threshold.
-                    let sim = graph.expect("fresh implies a graph").similarity(id, n);
-                    plan.push(Pending::Reused { n, sim });
-                } else {
-                    plan.push(Pending::Compute { n, cross: false });
-                }
-            } else {
-                plan.push(Pending::Compute { n, cross: true });
-            }
+            plan.push((n, n_shard != shard));
         }
 
-        let to_compute: Vec<ObjectId> = plan
-            .iter()
-            .filter_map(|p| match p {
-                Pending::Compute { n, .. } => Some(*n),
-                Pending::Reused { .. } => None,
-            })
-            .collect();
         // Both sides are read from the mirror, profiles included; a side it
         // does not hold has similarity 0.
         let mirror = &self.mirror;
         let this = mirror.profiled(id);
-        let computed = parallel_map(&to_compute, max_threads, |&n| {
+        let computed = parallel_map(&plan, max_threads, |&(n, _)| {
             match this.zip(mirror.profiled(n)) {
                 Some((a, b)) => mirror.check_edge(a, b),
                 None => EdgeCheck::Exact(0.0),
@@ -475,23 +446,11 @@ impl CrossShardRefiner {
 
         let threshold = self.mirror.edge_threshold();
         let mut tally = ScreenTally::default();
-        let mut computed = computed.into_iter();
-        for pending in plan {
-            let (n, cross, edge) = match pending {
-                Pending::Reused { n, sim } => (n, false, EdgeCheck::Exact(sim).edge(threshold)),
-                // `parallel_map` yields one check per computed pair.
-                Pending::Compute { n, cross } => (
-                    n,
-                    cross,
-                    computed
-                        .next()
-                        .and_then(|check| tally.edge(check, threshold)),
-                ),
-            };
+        for ((n, cross), check) in plan.into_iter().zip(computed) {
             if cross {
                 self.cross_comparisons += 1;
             }
-            if let Some(sim) = edge {
+            if let Some(sim) = tally.edge(check, threshold) {
                 if cross {
                     self.cross.entry(id).or_default().insert(n, sim);
                     self.cross.entry(n).or_default().insert(id, sim);
@@ -500,23 +459,8 @@ impl CrossShardRefiner {
                 self.mirror.install_edge(id, n, sim);
             }
         }
+        tally.record();
         self.boundary.insert(id, shard, record);
-    }
-
-    /// Fold one served round into the refined view, mimicking the unsharded
-    /// engine's round loop: operations are applied **in their original
-    /// order** to the mirror, the refined clustering, and the maintained
-    /// aggregates (O(degree) each), then Algorithm 3 runs to a fixed point.
-    /// Returns the round's [`RefineReport`].
-    pub(crate) fn apply_round(
-        &mut self,
-        batch: &OperationBatch,
-        op_shards: &[usize],
-        shards: &[&Engine],
-        max_threads: usize,
-    ) -> RefineReport {
-        let dynamicc = shards.first().expect("at least one shard").dynamicc();
-        self.apply_round_inner(batch, op_shards, dynamicc, Some(shards), max_threads)
     }
 
     /// Switch between the incremental dirty-region repair (the default) and
@@ -525,24 +469,6 @@ impl CrossShardRefiner {
     /// tests and benchmarks rely on this switch for their reference run.
     pub(crate) fn set_full_repair(&mut self, full_repair: bool) {
         self.full_repair = full_repair;
-    }
-
-    /// [`CrossShardRefiner::apply_round`] for durable recovery replay and
-    /// for the pipelined engine's detached refine worker: the per-shard
-    /// graphs may have advanced past the folded round, so no weight may be
-    /// reused from them — every pair is recomputed against the mirror's
-    /// records, which reproduces the synchronous round's mirror bit-for-bit
-    /// (see [`CrossShardRefiner::attach`]).  The pass configuration is
-    /// passed explicitly (all shards carry an identical one — validated at
-    /// construction), so no shard borrow is needed at all.
-    pub(crate) fn replay_round(
-        &mut self,
-        batch: &OperationBatch,
-        op_shards: &[usize],
-        dynamicc: &DynamicC,
-        max_threads: usize,
-    ) -> RefineReport {
-        self.apply_round_inner(batch, op_shards, dynamicc, None, max_threads)
     }
 
     /// Record `id` and its current mirror neighbours as touched by this
@@ -555,12 +481,23 @@ impl CrossShardRefiner {
         }
     }
 
-    fn apply_round_inner(
+    /// Fold one committed round into the refined view, mimicking the
+    /// unsharded engine's round loop: operations are applied **in their
+    /// original order** to the mirror, the refined clustering, and the
+    /// maintained aggregates (O(degree) each), then Algorithm 3 runs to a
+    /// fixed point.  Returns the round's [`RefineReport`].
+    ///
+    /// This is the refiner's only round entry point: the synchronous sharded
+    /// engines, the pipelined refine worker, and recovery replay all call it.
+    /// It reads nothing from the shard engines (see
+    /// [`CrossShardRefiner::attach`]); the pass configuration is passed
+    /// explicitly (all shards carry an identical one — validated at
+    /// construction).
+    pub(crate) fn fold_round(
         &mut self,
         batch: &OperationBatch,
         op_shards: &[usize],
         dynamicc: &DynamicC,
-        reuse: Option<&[&Engine]>,
         max_threads: usize,
     ) -> RefineReport {
         let comparisons_before = self.cross_comparisons;
@@ -586,11 +523,11 @@ impl CrossShardRefiner {
                         seeds.insert(cid);
                         self.agg.apply_remove(&self.mirror, &self.refined, *id, cid);
                         self.detach(*id);
-                        self.attach(*id, shard, record, reuse, max_threads);
+                        self.attach(*id, shard, record, max_threads);
                         self.agg.apply_add(&self.mirror, &self.refined, *id);
                     } else {
                         self.detach(*id);
-                        self.attach(*id, shard, record, reuse, max_threads);
+                        self.attach(*id, shard, record, max_threads);
                         self.refined
                             .create_cluster([*id])
                             .expect("fresh object enters as a singleton");
@@ -615,7 +552,7 @@ impl CrossShardRefiner {
                         self.refined.remove_object(*id).expect("object present");
                     }
                     self.detach(*id);
-                    self.attach(*id, shard, record, reuse, max_threads);
+                    self.attach(*id, shard, record, max_threads);
                     self.refined
                         .create_cluster([*id])
                         .expect("object just removed");

@@ -39,30 +39,35 @@
 //! ## Durable sharding
 //!
 //! [`ShardedDurableEngine`] gives every shard its own WAL + snapshot
-//! directory (`shard-000/`, `shard-001/`, …) wrapped in a [`DurableEngine`].
-//! A round is durable once *every* shard has logged its sub-batch, so the
-//! globally committed round is the **minimum** over the shards' recoverable
-//! rounds.  Recovery peeks that minimum first, then reopens each shard
-//! capped at it — shards that logged a never-acknowledged round (a crash
-//! mid-distribution, or a torn tail in one shard) are physically rolled
-//! back, keeping all shards bit-identical to a never-restarted sharded run.
-//! Checkpoints are driven globally (after a round has completed on every
-//! shard), never by the shards themselves, so no snapshot can ever get ahead
-//! of the committed round.
+//! directory (`shard-000/`, `shard-001/`, …) wrapped in a [`DurableEngine`],
+//! plus a `refine/` directory whose WAL logs every round's full batch.  One
+//! commit step ([`ShardedDurableEngine::commit_round`]) serves both the
+//! synchronous engine and the pipelined front-end: it stages every shard's
+//! sub-batch and seals the round on the refine WAL, which is the commit
+//! point (with one shard, the shard's own WAL is).  Recovery reads the
+//! committed round from it, reopens each shard capped there — shards that
+//! logged a never-acknowledged round are physically rolled back — and heals
+//! shards that fell short by re-routing the logged batches, keeping all
+//! shards bit-identical to a never-restarted sharded run.  Checkpoints are
+//! driven globally (after a round has completed on every shard), never by
+//! the shards themselves, so no snapshot can ever get ahead of the
+//! committed round.
 
 use crate::config::DynamicCStats;
 use crate::durable::{DurabilityOptions, RecoveryReport};
 use crate::dynamic::DynamicC;
 use crate::engine::{Engine, RoundReport};
+use crate::pipeline::lock_unpoisoned;
 use crate::refine::{CrossShardRefiner, RefineReport, RefineState};
 use crate::DurableEngine;
 use dc_similarity::persist::GraphState;
-use dc_similarity::{GraphConfig, ShardRouter, SimilarityGraph};
+use dc_similarity::{GraphConfig, RoutedBatch, ShardRouter, SimilarityGraph};
 use dc_storage::wal::list_segments;
 use dc_storage::{Snapshotter, StorageError, Wal};
 use dc_types::{shard_id_base, Clustering, ObjectId, OperationBatch, MAX_SHARDS};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Why a sharded engine could not be constructed over the given inputs.
 ///
@@ -330,7 +335,7 @@ fn distribute_dynamicc(donor: DynamicC, n: usize) -> Vec<DynamicC> {
 /// last-writer-wins stays deterministic.  Per-shard apply wall time lands in
 /// the `shard.apply` histogram, recorded on the worker that served the
 /// shard.
-pub(crate) fn parallel_shard_rounds<T: Send, R: Send>(
+fn parallel_shard_rounds<T: Send, R: Send>(
     shards: &mut [T],
     batches: &[OperationBatch],
     max_threads: usize,
@@ -381,7 +386,7 @@ pub(crate) fn parallel_shard_rounds<T: Send, R: Send>(
 /// largest sub-batch, the mean, and their ratio (1.0 = perfectly even).
 /// All three are functions of the deterministic routing decision, so they
 /// are structural fields in the telemetry dump.
-pub(crate) fn record_batch_imbalance(sub_batches: &[OperationBatch]) {
+fn record_batch_imbalance(sub_batches: &[OperationBatch]) {
     let reg = dc_telemetry::registry();
     if !reg.is_enabled() || sub_batches.is_empty() {
         return;
@@ -597,8 +602,12 @@ impl ShardedEngine {
         span.finish();
         let span = reg.span("round.refine");
         let refine = self.refiner.as_mut().map(|refiner| {
-            let engines: Vec<&Engine> = self.shards.iter().collect();
-            refiner.apply_round(batch, &routed.op_shards, &engines, self.max_threads)
+            refiner.fold_round(
+                batch,
+                &routed.op_shards,
+                self.shards[0].dynamicc(),
+                self.max_threads,
+            )
         });
         span.finish();
         self.rounds_served += 1;
@@ -767,7 +776,7 @@ pub struct ShardedRecoveryReport {
     /// can lose sub-batches of rounds the refine WAL committed.  Recovery
     /// re-routes those rounds from the refine WAL and re-applies them to
     /// the lagging shards (one count per shard per healed round).  Always 0
-    /// in synchronous mode, where every shard fsyncs before the round
+    /// with group commit off, where every shard fsyncs before the round
     /// commits.
     pub healed_rounds: u64,
     /// Rounds the cross-shard refinement layer replayed from its own WAL on
@@ -798,16 +807,31 @@ pub struct ShardedDurableEngine {
 
 /// The refinement layer's durable plumbing: its refiner plus the `refine/`
 /// directory's WAL and snapshotter.  The `refine/` WAL doubles as the
-/// **group-commit log**: it holds every round's *full* batch, so in
-/// group-commit mode its single per-round fsync is the commit point from
-/// which any shard's lost (never-fsynced) sub-batch tail can be re-derived
-/// and healed on recovery.  Fields are crate-visible so the pipelined
-/// front-end ([`crate::pipeline`]) can drive the same WAL/snapshot plumbing
-/// from its coordinator thread.
-pub(crate) struct DurableRefine {
-    pub(crate) refiner: CrossShardRefiner,
-    pub(crate) wal: Wal,
-    pub(crate) snapshotter: Snapshotter,
+/// **group-commit log**: it holds every round's *full* batch, and its
+/// per-round fsync is the commit point from which any shard's lost
+/// (never-fsynced) sub-batch tail can be re-derived and healed on recovery.
+/// The refiner sits behind a lock so the pipelined front-end's refine
+/// worker ([`crate::pipeline`]) can fold rounds while the coordinator owns
+/// the engine.
+struct DurableRefine {
+    refiner: Arc<Mutex<CrossShardRefiner>>,
+    wal: Wal,
+    snapshotter: Snapshotter,
+}
+
+/// Lock the refiner for a round fold or a checkpoint.  A poisoned lock
+/// means a fold panicked midway and left the refined view torn, so it is
+/// neither extended nor made durable; reopening recovers the committed
+/// state.  Read-only accessors take the guard regardless
+/// ([`lock_unpoisoned`]).
+fn lock_refiner(
+    refiner: &Mutex<CrossShardRefiner>,
+) -> Result<MutexGuard<'_, CrossShardRefiner>, StorageError> {
+    refiner.lock().map_err(|_| {
+        StorageError::Inconsistent(
+            "a refine fold panicked and left the refined view torn; reopen to recover".into(),
+        )
+    })
 }
 
 fn refine_dir(dir: &Path) -> PathBuf {
@@ -890,8 +914,8 @@ impl ShardedDurableEngine {
         // Pass 1: find the globally committed round.  With more than one
         // shard the `refine/` WAL is the commit point: a round is
         // acknowledged only after the full batch is durably there
-        // (synchronous mode appends it *last*, after every shard's own
-        // fsync, so its durable round is exactly the old minimum; in
+        // (with group commit off it is sealed *last*, after every shard's
+        // own fsync, so its durable round is exactly the old minimum; in
         // group-commit mode its single fsync *is* the round's commit, and
         // shards whose never-fsynced tails fell short are healed from it
         // below).  With one shard the shard's own WAL is the commit point.
@@ -1013,7 +1037,7 @@ impl ShardedDurableEngine {
             assignment = derive_assignment(&shards)?;
         }
         if let Some(refine) = &refine {
-            if recovered && refine.refiner.shard_map() != assignment {
+            if recovered && lock_unpoisoned(&refine.refiner).shard_map() != assignment {
                 return Err(StorageError::Inconsistent(
                     "replayed refine assignment disagrees with the recovered shard \
                      ownership"
@@ -1071,7 +1095,7 @@ impl ShardedDurableEngine {
             snapshotter.write(0, &refiner.snapshot_ref())?;
             let wal = Wal::create(&refine_root, 0)?;
             return Ok(DurableRefine {
-                refiner,
+                refiner: Arc::new(Mutex::new(refiner)),
                 wal,
                 snapshotter,
             });
@@ -1142,7 +1166,7 @@ impl ShardedDurableEngine {
                         report.healed_rounds += 1;
                     }
                 }
-                refiner.replay_round(
+                refiner.fold_round(
                     &record.batch,
                     &routed.op_shards,
                     &dynamicc,
@@ -1175,7 +1199,7 @@ impl ShardedDurableEngine {
             _ => Wal::create(&refine_root, committed)?,
         };
         Ok(DurableRefine {
-            refiner,
+            refiner: Arc::new(Mutex::new(refiner)),
             wal,
             snapshotter,
         })
@@ -1188,21 +1212,12 @@ impl ShardedDurableEngine {
         self
     }
 
-    /// Serve one round durably: split the batch, then let every shard
-    /// log-then-apply its sub-batch in parallel.  The round is committed
-    /// once every shard has logged it; a crash that reaches only some shards
-    /// is rolled back by the next open.  Checkpoints run globally per
+    /// Serve one round durably: commit it (route, stage every shard's
+    /// sub-batch, seal — see [`ShardedDurableEngine::commit_round`]), apply
+    /// the sub-batches in parallel, and fold the round into the refined
+    /// view.  Checkpoints run globally per
     /// [`DurabilityOptions::checkpoint_every_rounds`], after the round has
     /// completed on every shard.
-    ///
-    /// With [`DurabilityOptions::group_commit`] set, the round's WAL appends
-    /// are *staged* (written, not fsynced) on every shard and the full batch
-    /// staged on the refine WAL, then a **single fsync** of the refine WAL
-    /// commits the round — N+1 fsyncs per round become 1.  The commit rule
-    /// is unchanged: the refine WAL durably holds the full batch, from which
-    /// every shard's sub-batch is re-derived on recovery (shards whose
-    /// staged tails were lost are healed — see
-    /// [`ShardedRecoveryReport::healed_rounds`]).
     ///
     /// An `Err` leaves the engine in an unspecified in-memory state (some
     /// shards may have applied the round); drop it and reopen.
@@ -1210,42 +1225,17 @@ impl ShardedDurableEngine {
         &mut self,
         batch: &OperationBatch,
     ) -> Result<ShardedRoundReport, StorageError> {
-        if self.options.group_commit {
-            return self.apply_round_grouped(batch);
-        }
         let reg = dc_telemetry::registry();
         let round_span = reg.span("round.total");
-        let span = reg.span("round.route");
-        let routed = self.router.route_batch(batch, &mut self.assignment);
-        span.finish();
-        record_batch_imbalance(&routed.sub_batches);
-        let span = reg.span("round.shard_apply");
-        let results = parallel_shard_rounds(
-            &mut self.shards,
-            &routed.sub_batches,
-            self.max_threads,
-            |shard, sub| shard.apply_round(sub),
-        );
-        span.finish();
-        let mut reports = Vec::with_capacity(results.len());
-        for result in results {
-            reports.push(result?);
-        }
-        let round = self.rounds_served as u64 + 1;
-        let refine = match &mut self.refine {
+        let (routed, _) = self.commit_round(batch, "round.group_commit")?;
+        let reports = self.apply_committed(&routed);
+        let refine = match &self.refine {
             Some(refine) => {
-                // Log-then-apply for the refined view: the round is only
-                // acknowledged once the refine WAL holds the full batch, so
-                // recovery can replay the same pass deterministically.
-                let span = reg.span("round.refine_wal_append");
-                refine.wal.append_round(round, batch)?;
-                span.finish();
                 let span = reg.span("round.refine");
-                let engines: Vec<&Engine> = self.shards.iter().map(DurableEngine::engine).collect();
-                let report = refine.refiner.apply_round(
+                let report = lock_refiner(&refine.refiner)?.fold_round(
                     batch,
                     &routed.op_shards,
-                    &engines,
+                    self.shards[0].engine().dynamicc(),
                     self.max_threads,
                 );
                 span.finish();
@@ -1253,9 +1243,7 @@ impl ShardedDurableEngine {
             }
             None => None,
         };
-        self.rounds_served += 1;
-        let every = self.options.checkpoint_every_rounds as u64;
-        if every > 0 && (self.rounds_served as u64).is_multiple_of(every) {
+        if self.checkpoint_due() {
             let span = reg.span("round.checkpoint");
             self.checkpoint()?;
             span.finish();
@@ -1264,40 +1252,59 @@ impl ShardedDurableEngine {
         Ok(merge_round_reports(self.rounds_served, reports, refine))
     }
 
-    /// The group-commit round: stage every shard's sub-batch append and the
-    /// refine WAL's full-batch append without fsync, commit the round with
-    /// one fsync of the refine WAL (the group-commit log), then apply in
-    /// parallel and refine as usual.  With one shard there is no refine WAL
-    /// and the single fsync lands on the shard's own WAL instead.
-    fn apply_round_grouped(
+    /// The commit step of a sharded round, shared by
+    /// [`ShardedDurableEngine::apply_round`] and the pipelined coordinator:
+    /// route the batch, stage every shard's sub-batch in its WAL without
+    /// fsync, then seal the round:
+    ///
+    /// * with [`DurabilityOptions::group_commit`] off, every shard WAL is
+    ///   fsynced first;
+    /// * the refine WAL (the group-commit log) then appends the full batch
+    ///   and fsyncs — the round's commit point;
+    /// * with one shard there is no refine WAL, and the shard's own fsync
+    ///   is the commit point.
+    ///
+    /// So a round costs N+1 fsyncs with group commit off and 1 with it on,
+    /// and 1 in both modes at N=1.  Once this returns the round is durable
+    /// and may be acknowledged; recovery heals any shard whose staged tail
+    /// was lost from the refine WAL (see
+    /// [`ShardedRecoveryReport::healed_rounds`]).  Stage and seal run under
+    /// one span named `span`; its wall time is returned with the routing.
+    pub(crate) fn commit_round(
         &mut self,
         batch: &OperationBatch,
-    ) -> Result<ShardedRoundReport, StorageError> {
+        span: &'static str,
+    ) -> Result<(RoutedBatch, u64), StorageError> {
         let reg = dc_telemetry::registry();
-        let round_span = reg.span("round.total");
-        let span = reg.span("round.route");
+        let route_span = reg.span("round.route");
         let routed = self.router.route_batch(batch, &mut self.assignment);
-        span.finish();
+        route_span.finish();
         record_batch_imbalance(&routed.sub_batches);
 
         let round = self.rounds_served as u64 + 1;
-        let span = reg.span("round.group_commit");
+        let commit_span = reg.span(span);
         for (shard, sub) in self.shards.iter_mut().zip(&routed.sub_batches) {
             let logged = shard.log_round_nosync(sub)?;
             debug_assert_eq!(logged, round, "shards advance in lock-step");
         }
         match &mut self.refine {
             Some(refine) => {
-                refine.wal.append_round_nosync(round, batch)?;
-                refine.wal.sync()?;
+                if !self.options.group_commit {
+                    for shard in &mut self.shards {
+                        shard.wal_sync()?;
+                    }
+                }
+                refine.wal.append_round(round, batch)?;
             }
-            // One shard: no refine WAL exists, so the shard's own staged
-            // append is sealed directly — still exactly one fsync.
             None => self.shards[0].wal_sync()?,
         }
-        span.finish();
+        Ok((routed, commit_span.finish_ns()))
+    }
 
-        let span = reg.span("round.shard_apply");
+    /// Apply a committed round's sub-batches to every shard in parallel and
+    /// count the round as served.
+    pub(crate) fn apply_committed(&mut self, routed: &RoutedBatch) -> Vec<RoundReport> {
+        let span = dc_telemetry::registry().span("round.shard_apply");
         let reports = parallel_shard_rounds(
             &mut self.shards,
             &routed.sub_batches,
@@ -1305,36 +1312,35 @@ impl ShardedDurableEngine {
             |shard, sub| shard.apply_logged(sub),
         );
         span.finish();
-        let refine = match &mut self.refine {
-            Some(refine) => {
-                let span = reg.span("round.refine");
-                let engines: Vec<&Engine> = self.shards.iter().map(DurableEngine::engine).collect();
-                let report = refine.refiner.apply_round(
-                    batch,
-                    &routed.op_shards,
-                    &engines,
-                    self.max_threads,
-                );
-                span.finish();
-                Some(report)
-            }
-            None => None,
-        };
         self.rounds_served += 1;
+        reports
+    }
+
+    /// Whether the automatic checkpoint cadence fires after the rounds
+    /// served so far.
+    pub(crate) fn checkpoint_due(&self) -> bool {
         let every = self.options.checkpoint_every_rounds as u64;
-        if every > 0 && (self.rounds_served as u64).is_multiple_of(every) {
-            let span = reg.span("round.checkpoint");
-            self.checkpoint()?;
-            span.finish();
-        }
-        round_span.finish();
-        Ok(merge_round_reports(self.rounds_served, reports, refine))
+        every > 0 && (self.rounds_served as u64).is_multiple_of(every)
+    }
+
+    /// The refiner, shared with the pipelined refine worker (`None` with one
+    /// shard).
+    pub(crate) fn shared_refiner(&self) -> Option<Arc<Mutex<CrossShardRefiner>>> {
+        self.refine
+            .as_ref()
+            .map(|refine| Arc::clone(&refine.refiner))
+    }
+
+    /// The worker-thread cap a round fans out to.
+    pub(crate) fn max_threads(&self) -> usize {
+        self.max_threads
     }
 
     /// Checkpoint every shard now (snapshot + WAL rotation + prune per
     /// shard), then the refinement layer (refine snapshot written *after*
     /// every shard's, so it can never get ahead of them).  Returns the
-    /// checkpointed round.
+    /// checkpointed round.  The pipelined coordinator waits for the refine
+    /// worker to fold every committed round before calling this.
     pub fn checkpoint(&mut self) -> Result<u64, StorageError> {
         for shard in &mut self.shards {
             shard.checkpoint()?;
@@ -1343,7 +1349,7 @@ impl ShardedDurableEngine {
         if let Some(refine) = &mut self.refine {
             refine
                 .snapshotter
-                .write(round, &refine.refiner.snapshot_ref())?;
+                .write(round, &lock_refiner(&refine.refiner)?.snapshot_ref())?;
             if refine.wal.start_round() != round {
                 refine.wal = Wal::create(refine.snapshotter.dir(), round)?;
             }
@@ -1396,7 +1402,7 @@ impl ShardedDurableEngine {
             + self
                 .refine
                 .as_ref()
-                .map_or(0, |r| r.refiner.cross_comparisons())
+                .map_or(0, |r| lock_unpoisoned(&r.refiner).cross_comparisons())
     }
 
     /// Pairwise similarity computations performed by the per-shard graphs
@@ -1414,12 +1420,14 @@ impl ShardedDurableEngine {
     pub fn cross_shard_edges_recovered(&self) -> usize {
         self.refine
             .as_ref()
-            .map_or(0, |r| r.refiner.cross_edges_recovered())
+            .map_or(0, |r| lock_unpoisoned(&r.refiner).cross_edges_recovered())
     }
 
     /// The report of the most recent refinement pass; `None` with one shard.
     pub fn last_refine_report(&self) -> Option<RefineReport> {
-        self.refine.as_ref().map(|r| r.refiner.last_report())
+        self.refine
+            .as_ref()
+            .map(|r| lock_unpoisoned(&r.refiner).last_report())
     }
 
     /// The merged global clustering (see
@@ -1434,57 +1442,10 @@ impl ShardedDurableEngine {
     /// per-shard graphs.
     pub fn refined_clustering(&self) -> Clustering {
         match &self.refine {
-            Some(refine) => refine.refiner.refined().clone(),
+            Some(refine) => lock_unpoisoned(&refine.refiner).refined().clone(),
             None => self.merged_clustering(),
         }
     }
-
-    /// Disassemble the engine into the parts the pipelined front-end's
-    /// coordinator and refine worker own separately while serving — see
-    /// [`crate::pipeline`].  [`ShardedDurableEngine::from_pipeline_parts`]
-    /// reassembles them after drain.
-    pub(crate) fn into_pipeline_parts(self) -> PipelineParts {
-        PipelineParts {
-            shards: self.shards,
-            router: self.router,
-            assignment: self.assignment,
-            rounds_served: self.rounds_served,
-            max_threads: self.max_threads,
-            options: self.options,
-            dir: self.dir,
-            refine: self.refine,
-        }
-    }
-
-    /// Reassemble an engine from the parts a drained pipeline hands back.
-    pub(crate) fn from_pipeline_parts(parts: PipelineParts) -> Self {
-        ShardedDurableEngine {
-            shards: parts.shards,
-            router: parts.router,
-            assignment: parts.assignment,
-            rounds_served: parts.rounds_served,
-            max_threads: parts.max_threads,
-            options: parts.options,
-            dir: parts.dir,
-            refine: parts.refine,
-        }
-    }
-}
-
-/// A [`ShardedDurableEngine`] taken apart for pipelined serving: the
-/// coordinator thread owns the shards, router, assignment, and the refine
-/// WAL/snapshotter, while the refine worker owns the refiner itself (moved
-/// out of [`DurableRefine`] behind a lock by the pipeline).  All fields are
-/// exactly the engine's — nothing is copied.
-pub(crate) struct PipelineParts {
-    pub(crate) shards: Vec<DurableEngine>,
-    pub(crate) router: ShardRouter,
-    pub(crate) assignment: BTreeMap<ObjectId, usize>,
-    pub(crate) rounds_served: usize,
-    pub(crate) max_threads: usize,
-    pub(crate) options: DurabilityOptions,
-    pub(crate) dir: PathBuf,
-    pub(crate) refine: Option<DurableRefine>,
 }
 
 impl std::fmt::Debug for ShardedDurableEngine {

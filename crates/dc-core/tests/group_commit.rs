@@ -2,9 +2,9 @@
 //!
 //! Two things are pinned here.  First, the **fsync schedule**: with N
 //! shards, a classic round costs N per-shard WAL fsyncs plus one refine-WAL
-//! fsync (N+1), while a group-committed round — synchronous or pipelined —
-//! costs exactly **one** fsync, observed through the
-//! `storage.fsync_count` telemetry counter.  Second, **stage-boundary
+//! fsync (N+1), while a group-committed round costs exactly **one** fsync —
+//! synchronous or pipelined alike, since both commit through the same step
+//! — observed through the `storage.fsync_count` telemetry counter.  Second, **stage-boundary
 //! crashes**: a round interrupted between its staged (nosync) shard appends
 //! and the group fsync is rolled back everywhere, a round interrupted after
 //! the group fsync but before the shard tails reached disk is healed from
@@ -136,9 +136,9 @@ fn tear_wal_tail(state_dir: &Path) {
     file.set_len(len - 3).expect("truncate");
 }
 
-/// The per-round fsync schedule, pinned by telemetry: K classic rounds cost
-/// K×(N+1) fsyncs; K group-committed rounds — synchronous or pipelined —
-/// cost exactly K.  (Counters are thread-local; the pipelined engine's
+/// The per-round fsync schedule, pinned by telemetry: K classic rounds —
+/// synchronous or pipelined — cost K×(N+1) fsyncs; K group-committed rounds
+/// cost exactly K; at N=1 both modes cost exactly K.  (Counters are thread-local; the pipelined engine's
 /// worker deltas merge back into this thread at `close`.)
 #[test]
 fn group_commit_fsyncs_once_per_round_instead_of_once_per_shard() {
@@ -207,6 +207,46 @@ fn group_commit_fsyncs_once_per_round_instead_of_once_per_shard() {
         "pipelined rounds group-commit with one fsync each"
     );
     drop(engine);
+
+    // Pipelined with group commit off: the pipeline commits through the
+    // same step as the synchronous engine, so it honours the flag.
+    let tmp = TempDir::new("fsync-pipelined-classic");
+    let (engine, _) = open_engine(tmp.path(), N_SHARDS, &workload, objective.clone(), classic);
+    let before = reg.counter("storage.fsync_count");
+    let pipe = PipelinedEngine::start(engine, barrier_options());
+    for batch in &batches {
+        for op in batch.iter() {
+            pipe.submit(op.clone()).expect("submit");
+        }
+        pipe.flush().expect("flush");
+    }
+    let (engine, report) = pipe.close().expect("clean close");
+    assert_eq!(report.rounds_committed, k);
+    assert_eq!(
+        reg.counter("storage.fsync_count") - before,
+        k * (N_SHARDS as u64 + 1),
+        "pipelined classic rounds fsync every shard WAL plus the refine WAL"
+    );
+    drop(engine);
+
+    // One shard: no refine WAL, so both modes seal on the shard's own WAL.
+    for (name, options) in [
+        ("fsync-solo-classic", classic),
+        ("fsync-solo-grouped", grouped),
+    ] {
+        let tmp = TempDir::new(name);
+        let (mut engine, _) = open_engine(tmp.path(), 1, &workload, objective.clone(), options);
+        let before = reg.counter("storage.fsync_count");
+        for batch in &batches {
+            engine.apply_round(batch).expect("round");
+        }
+        assert_eq!(
+            reg.counter("storage.fsync_count") - before,
+            k,
+            "{name}: a one-shard round costs exactly one fsync"
+        );
+        drop(engine);
+    }
     reg.set_enabled(false);
 }
 

@@ -1,13 +1,14 @@
 //! Pipelined ingestion over the sharded durable engine.
 //!
 //! The synchronous serving loop commits one round per call: route, log to
-//! every shard's WAL plus the refine WAL (N+1 fsyncs), apply, refine, and
-//! only then accept the next batch.  The pipelined front-end turns that
-//! into a stream: callers `submit` operations into a bounded admission
-//! queue, a coordinator thread forms batches adaptively, group-commits each
-//! round with a **single** fsync of the refine WAL (the group-commit log),
-//! and overlaps round R's shard apply with round R−1's cross-shard
-//! refinement on a worker thread.
+//! every shard's WAL plus the refine WAL, apply, refine, and only then
+//! accept the next batch.  The pipelined front-end turns that into a
+//! stream: callers `submit` operations into a bounded admission queue, a
+//! coordinator thread forms batches adaptively and commits each round, and
+//! round R's shard apply overlaps round R−1's cross-shard refinement on a
+//! worker thread.  With `group_commit` on, as here, each round costs a
+//! **single** fsync of the refine WAL (the group-commit log) instead of
+//! N+1.
 //!
 //! This example trains DynamicC on the Febrl fixture, streams the remaining
 //! rounds through a [`PipelinedEngine`] with flush barriers (so the round
@@ -54,7 +55,7 @@ fn main() {
 
     let options = DurabilityOptions {
         checkpoint_every_rounds: 2,
-        group_commit: false,
+        group_commit: true,
     };
     // Flush barriers: an effectively unbounded batch target plus a long
     // formation deadline makes each submit+flush segment exactly one round,
