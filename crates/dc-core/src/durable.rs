@@ -1,30 +1,36 @@
-//! Durable serving: the [`DurableEngine`] wrapper around [`Engine`].
+//! Durable shards: the [`DurableEngine`] wrapper that gives every shard of a
+//! [`crate::ShardedDurableEngine`] its own write-ahead log and snapshots.
 //!
 //! The in-memory [`Engine`] loses everything on restart and would need a
-//! full replay from the original dataset.  `DurableEngine` fixes that with
-//! the classic write-ahead-logging recipe, specialized to the paper's §6
-//! serving model (a round = one operation batch + re-clustering):
+//! full replay from the original dataset.  The durable engine fixes that
+//! with the classic write-ahead-logging recipe, specialized to the paper's
+//! §6 serving model (a round = one operation batch + re-clustering):
 //!
-//! * **log-then-apply** — [`DurableEngine::apply_round`] durably appends the
-//!   round's batch to the WAL *before* touching the engine, so a crash at
-//!   any point leaves either an unacknowledged torn tail (dropped on
-//!   recovery) or a logged round that recovery re-applies;
-//! * **checkpoint** — [`DurableEngine::checkpoint`] atomically snapshots the
-//!   materialized engine state (graph, clustering, aggregates, counters),
-//!   rotates the WAL to a fresh segment, and prunes everything the snapshot
-//!   made obsolete;
-//! * **recover** — [`DurableEngine::open`] loads the latest snapshot and
-//!   replays only the WAL tail, reaching the pre-crash serving state
-//!   without re-serving a single checkpointed round and without a single
-//!   O(E) aggregate rebuild.  (The trained models and graph config are
-//!   reconstructed by the caller either way — see below.)
+//! * **log-then-apply** — [`crate::ShardedDurableEngine::apply_round`]
+//!   stages the round's sub-batch in every shard's WAL and seals the round
+//!   *before* any shard touches it, so a crash at any point leaves either an
+//!   unacknowledged torn tail (dropped on recovery) or a logged round that
+//!   recovery re-applies;
+//! * **checkpoint** — [`crate::ShardedDurableEngine::checkpoint`] atomically
+//!   snapshots each shard's materialized state (graph, clustering,
+//!   aggregates, counters), rotates its WAL to a fresh segment, and prunes
+//!   everything the snapshot made obsolete;
+//! * **recover** — [`crate::ShardedDurableEngine::open`] loads each shard's
+//!   latest snapshot and replays only its WAL tail, reaching the pre-crash
+//!   serving state without re-serving a single checkpointed round and
+//!   without a single O(E) aggregate rebuild.  (The trained models and graph
+//!   config are reconstructed by the caller either way — see below.)
+//!
+//! A durable single engine is a `ShardedDurableEngine` with one shard: its
+//! sub-batch is the whole batch and its own WAL fsync seals the round.
 //!
 //! ## The equivalence invariant
 //!
 //! A recovered engine is *bit-identical* to a never-restarted one: same
 //! clusterings (down to cluster ids), same [`DynamicCStats`], same future
 //! decisions.  Three design choices carry that invariant, each checked by
-//! `tests/durable_recovery.rs`:
+//! `tests/durable_recovery.rs` (one durable shard against a never-restarted
+//! [`Engine`]):
 //!
 //! 1. the snapshot stores the aggregates' exact `f64` bits (a rebuild would
 //!    re-derive them in a different addition order and could flip an exact
@@ -37,9 +43,10 @@
 //!
 //! What is *not* persisted: the graph configuration (boxed measure/blocking
 //! trait objects) and the trained [`DynamicC`] models.  Both are supplied by
-//! the caller at [`DurableEngine::open`] — they are construction-time inputs
-//! (config and deterministic training), not state that evolves while
-//! serving; the engine's serving path only reads the models.
+//! the caller at [`crate::ShardedDurableEngine::open`] — they are
+//! construction-time inputs (config and deterministic training), not state
+//! that evolves while serving; the engine's serving path only reads the
+//! models.
 
 use crate::config::DynamicCStats;
 use crate::dynamic::DynamicC;
@@ -51,13 +58,13 @@ use dc_types::codec::{BinCodec, ByteReader, ByteWriter, CodecError};
 use dc_types::{Clustering, OperationBatch};
 use std::path::{Path, PathBuf};
 
-/// Durability policy for a [`DurableEngine`].
+/// Durability policy for a [`crate::ShardedDurableEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurabilityOptions {
     /// Checkpoint automatically after this many served rounds (0 disables
-    /// automatic checkpoints; [`DurableEngine::checkpoint`] is always
-    /// available).  Smaller values bound recovery replay at the cost of
-    /// snapshot writes.
+    /// automatic checkpoints; [`crate::ShardedDurableEngine::checkpoint`] is
+    /// always available).  Smaller values bound recovery replay at the cost
+    /// of snapshot writes.
     pub checkpoint_every_rounds: usize,
     /// How a sharded round is sealed.  Every shard stages its frame without
     /// fsyncing and the shared group (refine) WAL then appends the full
@@ -70,8 +77,7 @@ pub struct DurabilityOptions {
     ///
     /// The rule is the same whether
     /// [`crate::ShardedDurableEngine::apply_round`] or the pipelined
-    /// front-end (`dc_core::pipeline`) serves the round.  A single
-    /// [`DurableEngine`] ignores the flag: it pays one fsync per round.
+    /// front-end (`dc_core::pipeline`) serves the round.
     pub group_commit: bool,
 }
 
@@ -79,12 +85,12 @@ impl Default for DurabilityOptions {
     fn default() -> Self {
         DurabilityOptions {
             checkpoint_every_rounds: 8,
-            group_commit: false,
+            group_commit: true,
         }
     }
 }
 
-/// What [`DurableEngine::open`] did to reach a servable state.
+/// What opening one durable shard did to reach a servable state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Whether existing durable state was recovered (vs a fresh
@@ -167,106 +173,130 @@ fn snapshot_of(engine: &Engine) -> EngineSnapshot {
     }
 }
 
-/// A crash-safe [`Engine`]: every served round is logged before it is
-/// applied, and checkpoints bound how much of the log a recovery replays.
+/// Load the latest snapshot in the directory, timed as
+/// `recovery.snapshot_load`.
+fn load_snapshot(snapshotter: &Snapshotter) -> Result<Option<(u64, EngineSnapshot)>, StorageError> {
+    let span = dc_telemetry::registry().span("recovery.snapshot_load");
+    let loaded = snapshotter.load_latest::<EngineSnapshot>();
+    span.finish();
+    loaded
+}
+
+/// The segment a recovered WAL appends to next: the newest segment only if
+/// it is the one still being appended to (it ends at `round` and starts
+/// no earlier than the snapshot); an older tail (e.g. every segment
+/// predates the snapshot) gets a fresh segment at `round`.
+pub(crate) fn tail_segment(
+    dir: &Path,
+    newest: Option<Wal>,
+    snapshot_round: u64,
+    round: u64,
+) -> Result<Wal, StorageError> {
+    match newest {
+        Some(wal) if wal.last_round() == round && wal.start_round() >= snapshot_round => Ok(wal),
+        _ => Wal::create(dir, round),
+    }
+}
+
+/// One shard of a [`crate::ShardedDurableEngine`]: an [`Engine`] whose
+/// rounds are logged before they are applied, with checkpoints bounding how
+/// much of the log a recovery replays.  Only the sharded engine opens,
+/// logs, applies and checkpoints it; callers read it through
+/// [`crate::ShardedDurableEngine::shards`].
+#[derive(Debug)]
 pub struct DurableEngine {
     engine: Engine,
     wal: Wal,
     snapshotter: Snapshotter,
-    options: DurabilityOptions,
     last_checkpoint_round: u64,
 }
 
+/// The typed error for a directory whose WAL segments have no snapshot to
+/// replay onto: indistinguishable from a damaged directory, so never
+/// bootstrapped over.
+fn segments_without_snapshot(dir: &Path) -> StorageError {
+    StorageError::Inconsistent(format!(
+        "{} holds WAL segments but no snapshot",
+        dir.display()
+    ))
+}
+
 impl DurableEngine {
-    /// Open the durable engine in `dir`: recover from the snapshot + WAL if
-    /// durable state exists, otherwise initialize fresh from `bootstrap`
-    /// (typically the batch algorithm's clustering of the initial data) and
-    /// write the initial checkpoint so the serving state never has to be
-    /// rebuilt from the original dataset again.
+    /// Open the shard in `dir`: recover from the snapshot + WAL if durable
+    /// state exists, otherwise initialize fresh from `bootstrap` (the
+    /// shard's piece of the batch algorithm's clustering) and write the
+    /// initial checkpoint so the serving state never has to be rebuilt from
+    /// the original dataset again.
     ///
     /// `graph_config` must be equivalent to the configuration the state was
     /// created under, and `dynamicc` must carry the same (deterministically
     /// trained) models — see the module docs for why neither is persisted.
-    pub fn open(
-        dir: impl AsRef<Path>,
+    pub(crate) fn open(
+        dir: &Path,
         graph_config: GraphConfig,
         dynamicc: DynamicC,
-        options: DurabilityOptions,
         bootstrap: impl FnOnce() -> (SimilarityGraph, Clustering),
     ) -> Result<(Self, RecoveryReport), StorageError> {
-        Self::open_with_replay_cap(dir, graph_config, dynamicc, options, None, bootstrap)
-    }
-
-    /// [`DurableEngine::open`] with an optional *replay cap*: recovery stops
-    /// at round `cap` and physically truncates any logged-but-uncommitted
-    /// rounds beyond it (see [`Wal::open_capped`]).  The sharded durable
-    /// engine uses this to roll every shard back to the globally committed
-    /// round — a round that reached only some shard WALs before a crash was
-    /// never acknowledged and must be forgotten everywhere.
-    pub(crate) fn open_with_replay_cap(
-        dir: impl AsRef<Path>,
-        graph_config: GraphConfig,
-        dynamicc: DynamicC,
-        options: DurabilityOptions,
-        replay_cap: Option<u64>,
-        bootstrap: impl FnOnce() -> (SimilarityGraph, Clustering),
-    ) -> Result<(Self, RecoveryReport), StorageError> {
-        let dir = dir.as_ref();
         let snapshotter = Snapshotter::new(dir)?;
-        let span = dc_telemetry::registry().span("recovery.snapshot_load");
-        let loaded = snapshotter.load_latest::<EngineSnapshot>()?;
-        span.finish();
-        match loaded {
-            Some((round, snapshot)) => Self::recover(
-                dir,
-                snapshotter,
-                graph_config,
-                dynamicc,
-                options,
-                replay_cap,
-                round,
-                snapshot,
-            ),
-            None => {
-                if !list_segments(dir)?.is_empty() {
-                    return Err(StorageError::Inconsistent(format!(
-                        "{} holds WAL segments but no snapshot",
-                        dir.display()
-                    )));
-                }
-                let (graph, clustering) = bootstrap();
-                let engine = Engine::new(graph, clustering, dynamicc);
-                // Initial checkpoint *before* the first segment: a crash
-                // between the two leaves a snapshot without segments, which
-                // recovery handles (it creates a fresh segment).  The other
-                // order would leave a segment without any snapshot — a state
-                // indistinguishable from a damaged directory.
-                snapshotter.write(0, &snapshot_of(&engine))?;
-                let wal = Wal::create(dir, 0)?;
-                Ok((
-                    DurableEngine {
-                        engine,
-                        wal,
-                        snapshotter,
-                        options,
-                        last_checkpoint_round: 0,
-                    },
-                    RecoveryReport::default(),
-                ))
-            }
+        if let Some(loaded) = load_snapshot(&snapshotter)? {
+            return Self::replay(dir, snapshotter, graph_config, dynamicc, None, loaded);
         }
+        if !list_segments(dir)?.is_empty() {
+            return Err(segments_without_snapshot(dir));
+        }
+        let (graph, clustering) = bootstrap();
+        let engine = Engine::new(graph, clustering, dynamicc);
+        // Initial checkpoint *before* the first segment: a crash between the
+        // two leaves a snapshot without segments, which recovery handles (it
+        // creates a fresh segment).  The other order would leave a segment
+        // without any snapshot — a state indistinguishable from a damaged
+        // directory.
+        snapshotter.write(0, &snapshot_of(&engine))?;
+        let wal = Wal::create(dir, 0)?;
+        Ok((
+            DurableEngine {
+                engine,
+                wal,
+                snapshotter,
+                last_checkpoint_round: 0,
+            },
+            RecoveryReport::default(),
+        ))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn recover(
+    /// Recover the shard in `dir` to at most round `cap`: load its latest
+    /// snapshot, replay the WAL tail, and physically truncate any
+    /// logged-but-uncommitted rounds beyond the cap (see
+    /// [`Wal::open_capped`]).  The sharded engine uses this to roll every
+    /// shard back to the globally committed round — a round that reached
+    /// only some shard WALs before a crash was never acknowledged and must
+    /// be forgotten everywhere.  A directory without a snapshot is an error
+    /// here, never a bootstrap.
+    pub(crate) fn recover(
+        dir: &Path,
+        graph_config: GraphConfig,
+        dynamicc: DynamicC,
+        cap: u64,
+    ) -> Result<(Self, RecoveryReport), StorageError> {
+        let snapshotter = Snapshotter::new(dir)?;
+        let Some(loaded) = load_snapshot(&snapshotter)? else {
+            return Err(StorageError::Inconsistent(format!(
+                "{} holds no snapshot to recover from",
+                dir.display()
+            )));
+        };
+        Self::replay(dir, snapshotter, graph_config, dynamicc, Some(cap), loaded)
+    }
+
+    /// Restore the engine from the `loaded` snapshot and replay the WAL
+    /// tail on top of it, stopping at `replay_cap` when one is given.
+    fn replay(
         dir: &Path,
         snapshotter: Snapshotter,
         graph_config: GraphConfig,
         mut dynamicc: DynamicC,
-        options: DurabilityOptions,
         replay_cap: Option<u64>,
-        snapshot_round: u64,
-        snapshot: EngineSnapshot,
+        (snapshot_round, snapshot): (u64, EngineSnapshot),
     ) -> Result<(Self, RecoveryReport), StorageError> {
         if snapshot.rounds_served != snapshot_round {
             return Err(StorageError::Inconsistent(format!(
@@ -274,14 +304,13 @@ impl DurableEngine {
                 snapshot.rounds_served
             )));
         }
-        if replay_cap.is_some_and(|cap| snapshot_round > cap) {
+        if let Some(cap) = replay_cap.filter(|&cap| snapshot_round > cap) {
             // A snapshot beyond the cap would mean a checkpoint of a round
             // that was never globally committed — the sharded protocol only
             // checkpoints after a round completed on every shard, so this is
             // damage, not a crash window.
             return Err(StorageError::Inconsistent(format!(
-                "snapshot at round {snapshot_round} exceeds the replay cap {}",
-                replay_cap.unwrap_or_default()
+                "snapshot at round {snapshot_round} exceeds the replay cap {cap}"
             )));
         }
         let codec_err = |source: CodecError| StorageError::Codec {
@@ -336,56 +365,22 @@ impl DurableEngine {
         replay_span.finish();
         reg.add("recovery.replayed_rounds", report.replayed_rounds as u64);
         let current_round = engine.rounds_served() as u64;
-        let wal = match tail_wal {
-            // Reuse the newest segment only if it is the one still being
-            // appended to; an older tail (e.g. every segment predates the
-            // snapshot) gets a fresh segment at the current round.
-            Some(wal)
-                if wal.last_round() == current_round && wal.start_round() >= snapshot_round =>
-            {
-                wal
-            }
-            _ => Wal::create(dir, current_round)?,
-        };
+        let wal = tail_segment(dir, tail_wal, snapshot_round, current_round)?;
         Ok((
             DurableEngine {
                 engine,
                 wal,
                 snapshotter,
-                options,
                 last_checkpoint_round: snapshot_round,
             },
             report,
         ))
     }
 
-    /// Serve one round durably: append the batch to the WAL (fsynced) and
-    /// only then fold it into the engine, so a crash between the two is
-    /// replayed on recovery and a crash before the append loses nothing but
-    /// the unacknowledged round.  Checkpoints automatically per
-    /// [`DurabilityOptions::checkpoint_every_rounds`].
-    pub fn apply_round(&mut self, batch: &OperationBatch) -> Result<RoundReport, StorageError> {
-        let reg = dc_telemetry::registry();
-        let round = self.engine.rounds_served() as u64 + 1;
-        let span = reg.span("round.wal_append");
-        self.wal.append_round(round, batch)?;
-        span.finish();
-        let report = self.engine.apply_round(batch);
-        let every = self.options.checkpoint_every_rounds;
-        if every > 0 && round.is_multiple_of(every as u64) {
-            let span = reg.span("round.checkpoint");
-            self.checkpoint()?;
-            span.finish();
-        }
-        Ok(report)
-    }
-
-    /// The group-commit first half of [`DurableEngine::apply_round`]: stage
-    /// the next round's batch in the WAL **without** fsyncing.  The round is
-    /// not durable (and must not be acknowledged) until a commit point —
-    /// either this shard's [`DurableEngine::wal_sync`] or, in the sharded
-    /// group-commit protocol, the single fsync of the group WAL that covers
-    /// every shard's staged frame.
+    /// Stage the next round's batch in the WAL **without** fsyncing.  The
+    /// round is not durable (and must not be acknowledged) until a commit
+    /// point — either this shard's [`DurableEngine::wal_sync`] or the single
+    /// fsync of the group WAL that covers every shard's staged frame.
     pub(crate) fn log_round_nosync(&mut self, batch: &OperationBatch) -> Result<u64, StorageError> {
         let round = self.engine.rounds_served() as u64 + 1;
         self.wal.append_round_nosync(round, batch)?;
@@ -397,10 +392,10 @@ impl DurableEngine {
         self.wal.sync()
     }
 
-    /// The group-commit second half of [`DurableEngine::apply_round`]: fold
-    /// an already-logged round into the engine.  The caller is responsible
-    /// for having logged exactly this batch (and for checkpoint policy — the
-    /// sharded engine checkpoints all shards together).
+    /// Fold an already-logged round into the engine.  The caller is
+    /// responsible for having logged exactly this batch (and for checkpoint
+    /// policy — the sharded engine checkpoints all shards together, never
+    /// one shard on its own).
     pub(crate) fn apply_logged(&mut self, batch: &OperationBatch) -> RoundReport {
         self.engine.apply_round(batch)
     }
@@ -408,10 +403,12 @@ impl DurableEngine {
     /// Take a checkpoint now: atomically snapshot the engine state, rotate
     /// the WAL to a fresh segment, and prune the artifacts the snapshot made
     /// obsolete.  Returns the checkpointed round.
-    pub fn checkpoint(&mut self) -> Result<u64, StorageError> {
+    pub(crate) fn checkpoint(&mut self) -> Result<u64, StorageError> {
         let reg = dc_telemetry::registry();
         let span = reg.span("checkpoint.total");
-        let round = self.write_checkpoint()?;
+        let round = self.engine.rounds_served() as u64;
+        self.snapshotter.write(round, &snapshot_of(&self.engine))?;
+        self.last_checkpoint_round = round;
         if self.wal.start_round() != round {
             self.wal = Wal::create(self.snapshotter.dir(), round)?;
         }
@@ -421,55 +418,15 @@ impl DurableEngine {
         Ok(round)
     }
 
-    /// Write the snapshot for the current round (without rotating/pruning —
-    /// the fresh-open path wants exactly this).
-    fn write_checkpoint(&mut self) -> Result<u64, StorageError> {
-        let round = self.engine.rounds_served() as u64;
-        self.snapshotter.write(round, &snapshot_of(&self.engine))?;
-        self.last_checkpoint_round = round;
-        Ok(round)
-    }
-
     /// The wrapped engine.
     pub fn engine(&self) -> &Engine {
         &self.engine
-    }
-
-    /// The current clustering.
-    pub fn clustering(&self) -> &Clustering {
-        self.engine.clustering()
-    }
-
-    /// Cumulative DynamicC statistics.
-    pub fn stats(&self) -> &DynamicCStats {
-        self.engine.stats()
-    }
-
-    /// Rounds served across the engine's whole (possibly multi-process)
-    /// lifetime.
-    pub fn rounds_served(&self) -> usize {
-        self.engine.rounds_served()
-    }
-
-    /// The round covered by the most recent checkpoint.
-    pub fn last_checkpoint_round(&self) -> u64 {
-        self.last_checkpoint_round
     }
 
     /// Rounds served since the last checkpoint (what a crash right now
     /// would replay).
     pub fn rounds_since_checkpoint(&self) -> u64 {
         self.engine.rounds_served() as u64 - self.last_checkpoint_round
-    }
-
-    /// The state directory.
-    pub fn dir(&self) -> &Path {
-        self.snapshotter.dir()
-    }
-
-    /// Bytes currently in the active WAL segment.
-    pub fn wal_bytes(&self) -> u64 {
-        self.wal.len_bytes()
     }
 
     /// The newest round any durable artifact in `dir` can recover to: the
@@ -494,10 +451,7 @@ impl DurableEngine {
             if segments.is_empty() {
                 return Ok((None, false));
             }
-            return Err(StorageError::Inconsistent(format!(
-                "{} holds WAL segments but no snapshot",
-                dir.display()
-            )));
+            return Err(segments_without_snapshot(dir));
         };
         let mut dropped_torn_tail = false;
         for (_, path) in segments {
@@ -523,17 +477,6 @@ impl DurableEngine {
                 .map(|(_, p)| p),
         );
         Ok(out)
-    }
-}
-
-impl std::fmt::Debug for DurableEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DurableEngine")
-            .field("dir", &self.snapshotter.dir())
-            .field("rounds_served", &self.engine.rounds_served())
-            .field("last_checkpoint_round", &self.last_checkpoint_round)
-            .field("engine", &self.engine)
-            .finish()
     }
 }
 
@@ -582,18 +525,12 @@ mod tests {
         let (graph, clustering) = fixture_bootstrap();
         let config = graph.config().clone();
         let dynamicc = DynamicC::with_objective(Arc::new(CorrelationObjective));
-        let (engine, report) = DurableEngine::open(
-            dir,
-            config,
-            dynamicc,
-            DurabilityOptions::default(),
-            move || (graph, clustering),
-        )
-        .unwrap();
+        let (engine, report) =
+            DurableEngine::open(dir, config, dynamicc, move || (graph, clustering)).unwrap();
         assert!(!report.recovered);
         assert_eq!(report.snapshot_round, 0);
-        assert_eq!(engine.rounds_served(), 0);
-        assert_eq!(engine.last_checkpoint_round(), 0);
+        assert_eq!(engine.engine().rounds_served(), 0);
+        assert_eq!(engine.rounds_since_checkpoint(), 0);
         // Snapshot 0 and segment wal-0 exist.
         assert_eq!(engine.artifact_paths().unwrap().len(), 2);
     }
@@ -609,31 +546,21 @@ mod tests {
         let config = graph.config().clone();
         let make_dynamicc = || DynamicC::with_objective(Arc::new(CorrelationObjective));
         {
-            let (engine, _) = DurableEngine::open(
-                dir,
-                config.clone(),
-                make_dynamicc(),
-                DurabilityOptions::default(),
-                move || (graph, clustering),
-            )
-            .unwrap();
+            let (engine, _) =
+                DurableEngine::open(dir, config.clone(), make_dynamicc(), move || {
+                    (graph, clustering)
+                })
+                .unwrap();
             drop(engine);
         }
         // Simulate the crash by deleting the segment the fresh open created.
         let seg_path = list_segments(dir).unwrap()[0].1.clone();
         std::fs::remove_file(&seg_path).unwrap();
 
-        let (engine, report) = DurableEngine::open(
-            dir,
-            config,
-            make_dynamicc(),
-            DurabilityOptions::default(),
-            || unreachable!("recovery must not bootstrap"),
-        )
-        .unwrap();
+        let (engine, report) = DurableEngine::recover(dir, config, make_dynamicc(), 0).unwrap();
         assert!(report.recovered);
         assert_eq!(report.replayed_rounds, 0);
-        assert_eq!(engine.rounds_served(), 0);
+        assert_eq!(engine.engine().rounds_served(), 0);
         assert_eq!(list_segments(dir).unwrap().len(), 1, "segment recreated");
     }
 
@@ -645,14 +572,17 @@ mod tests {
         Wal::create(dir, 0).unwrap();
         let (graph, clustering) = fixture_bootstrap();
         let config = graph.config().clone();
-        let dynamicc = DynamicC::with_objective(Arc::new(CorrelationObjective));
-        let result = DurableEngine::open(
-            dir,
-            config,
-            dynamicc,
-            DurabilityOptions::default(),
-            move || (graph, clustering),
-        );
+        let make_dynamicc = || DynamicC::with_objective(Arc::new(CorrelationObjective));
+        let result = DurableEngine::open(dir, config.clone(), make_dynamicc(), move || {
+            (graph, clustering)
+        });
+        assert!(matches!(result, Err(StorageError::Inconsistent(_))));
+        // The recover-only opener refuses the same directory, and one with no
+        // durable state at all, instead of bootstrapping.
+        let result = DurableEngine::recover(dir, config.clone(), make_dynamicc(), 0);
+        assert!(matches!(result, Err(StorageError::Inconsistent(_))));
+        let empty = TempDir::new("no-state");
+        let result = DurableEngine::recover(empty.path(), config, make_dynamicc(), 0);
         assert!(matches!(result, Err(StorageError::Inconsistent(_))));
     }
 
@@ -666,14 +596,11 @@ mod tests {
         let config = graph.config().clone();
         let make_dynamicc = || DynamicC::with_objective(Arc::new(CorrelationObjective));
         {
-            let (_engine, _) = DurableEngine::open(
-                dir,
-                config.clone(),
-                make_dynamicc(),
-                DurabilityOptions::default(),
-                move || (graph, clustering),
-            )
-            .unwrap();
+            let (_engine, _) =
+                DurableEngine::open(dir, config.clone(), make_dynamicc(), move || {
+                    (graph, clustering)
+                })
+                .unwrap();
         }
         // Append round 1 directly to the segment, bypassing the engine.
         let mut batch = OperationBatch::new();
@@ -689,17 +616,13 @@ mod tests {
         .unwrap();
         drop(wal);
 
-        let (engine, report) = DurableEngine::open(
-            dir,
-            config,
-            make_dynamicc(),
-            DurabilityOptions::default(),
-            || unreachable!("recovery must not bootstrap"),
-        )
-        .unwrap();
+        let (engine, report) = DurableEngine::recover(dir, config, make_dynamicc(), 1).unwrap();
         assert!(report.recovered);
         assert_eq!(report.replayed_rounds, 1);
-        assert_eq!(engine.rounds_served(), 1);
-        assert!(!engine.clustering().contains_object(ObjectId::new(2)));
+        assert_eq!(engine.engine().rounds_served(), 1);
+        assert!(!engine
+            .engine()
+            .clustering()
+            .contains_object(ObjectId::new(2)));
     }
 }

@@ -34,17 +34,18 @@
 //!    full O(E) aggregate rebuild at all — `apply_round(batch)` folds the
 //!    operations into all three states at O(degree) per operation and then
 //!    runs Algorithm 3 against the maintained aggregate.
-//! 5. **Durable serving** ([`durable`]).  The [`DurableEngine`] wraps the
-//!    engine with `dc-storage`'s write-ahead log and snapshot subsystem:
-//!    rounds are logged before they are applied, checkpoints bound recovery
-//!    replay, and a recovered instance is bit-identical to a never-restarted
-//!    one.
-//! 6. **Sharded serving** ([`shard`]).  The [`ShardedEngine`] partitions
-//!    the live objects across N independent engines by their blocking keys
-//!    (`dc_similarity::ShardRouter`) and serves each round's sub-batches in
-//!    parallel on a scoped-thread pool; [`ShardedDurableEngine`] adds one
-//!    WAL + snapshot directory per shard with min-committed-round crash
-//!    recovery.  One shard is bit-identical to the unsharded engine.
+//! 5. **Sharded serving** ([`shard`]).  One engine type, [`shard::Sharded`],
+//!    partitions the live objects across N ≥ 1 shards by their blocking
+//!    keys (`dc_similarity::ShardRouter`) and serves each round's
+//!    sub-batches in parallel on a scoped-thread pool.  Its shard kind is
+//!    its one parameter: [`ShardedEngine`] serves in-memory engines, and
+//!    one shard is bit-identical to the unsharded [`Engine`].
+//! 6. **Durable serving** ([`durable`]).  [`ShardedDurableEngine`] serves
+//!    [`DurableEngine`] shards, each wrapping its engine with `dc-storage`'s
+//!    write-ahead log and snapshot subsystem: rounds are logged before they
+//!    are applied, global checkpoints bound recovery replay, and recovery
+//!    to the min-committed round is bit-identical to a never-restarted run.
+//!    A durable single engine is the one-shard case.
 //! 7. **Cross-shard refinement** ([`refine`]).  After the parallel per-shard
 //!    rounds, a deterministic boundary pass recovers the cross-shard
 //!    similarity edges the partition dropped and repairs the merged

@@ -12,8 +12,8 @@
 //! 2. **Batch formation + group commit.**  A coordinator thread drains the
 //!    queue into rounds sized by an [`AdaptiveBatcher`] (grow while commit
 //!    latency is under target, shrink when over) and commits each one with
-//!    the sharded engine's own commit step
-//!    ([`ShardedDurableEngine::commit_round`]): route, stage every shard's
+//!    the sharded engine's own commit step (`commit_round`, the first half
+//!    of [`ShardedDurableEngine::apply_round`]): route, stage every shard's
 //!    WAL append, then seal the round on the refine WAL — the group-commit
 //!    log, which holds the *full* batch.  With
 //!    [`crate::DurabilityOptions::group_commit`] on that seal is the
@@ -31,8 +31,8 @@
 //!    view may trail the shards.
 //!
 //! The worker runs the refiner's one round fold
-//! ([`crate::refine::CrossShardRefiner::fold_round`], the same call the
-//! synchronous engine and recovery make), which computes every pair
+//! (`CrossShardRefiner::fold_round`, the same call the synchronous engine
+//! and recovery make), which computes every pair
 //! against the mirror's own records and so needs no access to the shard
 //! engines at all.  The headline invariant, pinned by
 //! `tests/pipeline_equivalence.rs`: after
@@ -747,27 +747,20 @@ impl PipelinedEngine {
         // Refine worker: folds committed rounds into the engine's shared
         // refiner using shard 0's pass configuration (all shards carry an
         // identical one — validated when the refiner was built).
-        let (refine_tx, refine_worker) = match engine.shared_refiner() {
-            Some(refiner) => {
+        let (refine_tx, refine_worker) = match engine.detached_fold() {
+            Some(fold) => {
                 let (tx, rx) = bounded_channel::<(OperationBatch, Vec<usize>)>(
                     options.max_inflight_refine_rounds.max(1),
                 );
-                let dynamicc = engine.shards()[0].engine().dynamicc().clone();
                 let progress = Arc::clone(&progress);
                 let abort = Arc::clone(&abort);
-                let max_threads = engine.max_threads();
                 let handle = std::thread::spawn(move || {
                     let reg = dc_telemetry::registry();
                     reg.set_enabled(enabled);
                     while let Some((batch, op_shards)) = rx.recv() {
                         if !abort.load(Ordering::Relaxed) {
                             let span = reg.span("pipeline.refine");
-                            lock_unpoisoned(&refiner).fold_round(
-                                &batch,
-                                &op_shards,
-                                &dynamicc,
-                                max_threads,
-                            );
+                            fold(&batch, &op_shards);
                             span.finish();
                         }
                         // Count the round even when a kill discards it, so

@@ -1,12 +1,16 @@
-//! Sharded parallel serving: N independent [`Engine`]s behind one facade.
+//! Sharded parallel serving: N independent engines behind one facade,
+//! [`Sharded`], for any shard count N ≥ 1.
 //!
 //! The serving loop is embarrassingly partitionable across blocking keys
 //! (§6, Algorithm 3): similarity edges only ever form between records that
 //! share a block, so partitioning objects by their canonical blocking key
 //! ([`ShardRouter`]) yields shards whose engines never need to talk to each
-//! other.  A shard is an [`Engine`], a round is one `apply_round` call per
-//! shard, and the N calls run in parallel on a hand-rolled scoped-thread
-//! pool (`std::thread::scope`; no dependencies).
+//! other.  A round is one apply call per shard, and the N calls run in
+//! parallel on a hand-rolled scoped-thread pool (`std::thread::scope`; no
+//! dependencies).  The shard kind is the engine's one type parameter:
+//! [`ShardedEngine`] serves in-memory [`Engine`]s and
+//! [`ShardedDurableEngine`] serves logged [`DurableEngine`]s; both run the
+//! same round and answer the same accessors.
 //!
 //! ## What the partition preserves
 //!
@@ -25,7 +29,7 @@
 //! parallel per-shard rounds, the boundary pairs the per-shard graphs cannot
 //! see are computed once, cached, and a global repair runs the trained
 //! merge/split passes over the global view, so the refined clustering
-//! ([`ShardedEngine::refined_clustering`]) is quality-equivalent to the
+//! ([`Sharded::refined_clustering`]) is quality-equivalent to the
 //! unsharded engine instead of silently lossy.  Every multi-shard engine
 //! refines; `tests/shard_quality.rs` pins the refined pair sets against the
 //! unsharded engine's.
@@ -40,21 +44,21 @@
 //!
 //! [`ShardedDurableEngine`] gives every shard its own WAL + snapshot
 //! directory (`shard-000/`, `shard-001/`, …) wrapped in a [`DurableEngine`],
-//! plus a `refine/` directory whose WAL logs every round's full batch.  One
-//! commit step ([`ShardedDurableEngine::commit_round`]) serves both the
-//! synchronous engine and the pipelined front-end: it stages every shard's
-//! sub-batch and seals the round on the refine WAL, which is the commit
-//! point (with one shard, the shard's own WAL is).  Recovery reads the
-//! committed round from it, reopens each shard capped there — shards that
-//! logged a never-acknowledged round are physically rolled back — and heals
-//! shards that fell short by re-routing the logged batches, keeping all
-//! shards bit-identical to a never-restarted sharded run.  Checkpoints are
-//! driven globally (after a round has completed on every shard), never by
-//! the shards themselves, so no snapshot can ever get ahead of the
-//! committed round.
+//! plus a `refine/` directory whose WAL logs every round's full batch.  Its
+//! round logs before it applies: one commit step, shared with the pipelined
+//! front-end ([`crate::pipeline`]), stages every shard's sub-batch and seals
+//! the round on the refine WAL, which is the commit point (with one shard,
+//! the shard's own WAL is — a durable single engine is N = 1).  Recovery
+//! reads the committed round from it, reopens each shard capped there —
+//! shards that logged a never-acknowledged round are physically rolled
+//! back — and heals shards that fell short by re-routing the logged
+//! batches, keeping all shards bit-identical to a never-restarted sharded
+//! run.  Checkpoints are driven globally (after a round has completed on
+//! every shard), never by the shards themselves, so no snapshot can ever
+//! get ahead of the committed round.
 
 use crate::config::DynamicCStats;
-use crate::durable::{DurabilityOptions, RecoveryReport};
+use crate::durable::{tail_segment, DurabilityOptions, RecoveryReport};
 use crate::dynamic::DynamicC;
 use crate::engine::{Engine, RoundReport};
 use crate::pipeline::lock_unpoisoned;
@@ -66,8 +70,9 @@ use dc_storage::wal::list_segments;
 use dc_storage::{Snapshotter, StorageError, Wal};
 use dc_types::{shard_id_base, Clustering, ObjectId, OperationBatch, MAX_SHARDS};
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 /// Why a sharded engine could not be constructed over the given inputs.
 ///
@@ -188,6 +193,18 @@ impl std::fmt::Display for ShardConfigError {
 
 impl std::error::Error for ShardConfigError {}
 
+/// Reject shard counts the shard-tagged cluster-id scheme cannot serve.
+fn check_shard_count(n_shards: usize) -> Result<(), ShardConfigError> {
+    let max_shards = MAX_SHARDS - 1;
+    if n_shards > max_shards {
+        return Err(ShardConfigError::TooManyShards {
+            n_shards,
+            max_shards,
+        });
+    }
+    Ok(())
+}
+
 /// The per-shard bootstrap state produced by [`partition_state`].
 struct ShardSeed {
     graph: SimilarityGraph,
@@ -210,12 +227,7 @@ fn partition_state(
     clustering: &Clustering,
 ) -> Result<Partition, ShardConfigError> {
     let n = router.n_shards();
-    if n > MAX_SHARDS - 1 {
-        return Err(ShardConfigError::TooManyShards {
-            n_shards: n,
-            max_shards: MAX_SHARDS - 1,
-        });
-    }
+    check_shard_count(n)?;
     let watermark = clustering.id_watermark();
     if n > 1 && watermark > shard_id_base(1) {
         return Err(ShardConfigError::WatermarkOverflow { watermark });
@@ -308,23 +320,17 @@ fn partition_state(
 /// models with zeroed counters — so the merged statistics stay the plain
 /// sum of the per-shard ones, continuous with the donor's history.
 fn distribute_dynamicc(donor: DynamicC, n: usize) -> Vec<DynamicC> {
-    (0..n)
-        .map(|shard| {
-            if shard == 0 {
-                donor.clone()
-            } else {
-                let mut d = donor.clone();
-                d.restore_stats(DynamicCStats::default());
-                d
-            }
-        })
+    let mut fresh = donor.clone();
+    fresh.restore_stats(DynamicCStats::default());
+    std::iter::once(donor)
+        .chain(std::iter::repeat(fresh))
+        .take(n)
         .collect()
 }
 
-/// Run `f` once per `(shard, batch)` pair on a scoped thread pool of at most
-/// `max_threads` workers (contiguous chunks of shards per worker), and fold
-/// the workers' thread-local telemetry sinks back into the calling thread.
-/// Results come back in shard order.
+/// Map `f` over `items` on a scoped thread pool of at most `max_threads`
+/// workers (contiguous chunks, results in input order), and fold the
+/// workers' thread-local telemetry sinks back into the calling thread.
 ///
 /// The fold is the fan-out half of the telemetry threading model: the
 /// telemetry mode is captured once before spawning and propagated to every
@@ -332,37 +338,32 @@ fn distribute_dynamicc(donor: DynamicC, n: usize) -> Vec<DynamicC> {
 /// the full-build counter that [`BuildCounter::scope`] assertions read
 /// included, since workers are fresh scoped threads whose sinks start
 /// empty), and the deltas merge back **in worker order**, so gauge
-/// last-writer-wins stays deterministic.  Per-shard apply wall time lands in
-/// the `shard.apply` histogram, recorded on the worker that served the
-/// shard.
-fn parallel_shard_rounds<T: Send, R: Send>(
-    shards: &mut [T],
-    batches: &[OperationBatch],
+/// last-writer-wins stays deterministic.  A worker panic is propagated
+/// (`resume_unwind`), not wrapped — the panic payload and message survive
+/// to the caller's test harness.
+///
+/// [`BuildCounter::scope`]: dc_similarity::BuildCounter::scope
+fn parallel_chunks<I: Send, R: Send>(
+    items: Vec<I>,
     max_threads: usize,
-    f: impl Fn(&mut T, &OperationBatch) -> R + Sync,
+    f: impl Fn(I) -> R + Sync,
 ) -> Vec<R> {
-    assert_eq!(shards.len(), batches.len());
-    let n = shards.len();
-    let threads = max_threads.clamp(1, n.max(1));
-    let chunk = n.div_ceil(threads);
+    let n = items.len();
+    let chunk = n.div_ceil(max_threads.clamp(1, n.max(1))).max(1);
     let enabled = dc_telemetry::registry().is_enabled();
-    // Each worker returns its chunk's results in order; joining the handles
-    // in spawn order then reassembles the global order with no placeholder
-    // slots.  A worker panic is propagated (`resume_unwind`), not wrapped —
-    // the panic payload and message survive to the caller's test harness.
+    let mut items = items.into_iter();
     let chunk_results: Vec<(Vec<R>, dc_telemetry::ThreadDelta)> = std::thread::scope(|scope| {
         let f = &f;
-        let mut handles = Vec::with_capacity(threads);
-        for (shard_chunk, batch_chunk) in shards.chunks_mut(chunk).zip(batches.chunks(chunk)) {
+        let mut handles = Vec::new();
+        loop {
+            let part: Vec<I> = items.by_ref().take(chunk).collect();
+            if part.is_empty() {
+                break;
+            }
             handles.push(scope.spawn(move || {
                 let reg = dc_telemetry::registry();
                 reg.set_enabled(enabled);
-                let mut results = Vec::with_capacity(shard_chunk.len());
-                for (shard, batch) in shard_chunk.iter_mut().zip(batch_chunk) {
-                    let span = reg.span("shard.apply");
-                    results.push(f(shard, batch));
-                    span.finish();
-                }
+                let results = part.into_iter().map(f).collect::<Vec<R>>();
                 (results, reg.drain())
             }));
         }
@@ -380,6 +381,26 @@ fn parallel_shard_rounds<T: Send, R: Send>(
         delta.merge_into_current();
     }
     out
+}
+
+/// Run `f` once per `(shard, batch)` pair on [`parallel_chunks`]'s pool
+/// (always on workers, even for one shard).  Per-shard apply wall time
+/// lands in the `shard.apply` histogram, recorded on the worker that served
+/// the shard.
+fn parallel_shard_rounds<T: Send, R: Send>(
+    shards: &mut [T],
+    batches: &[OperationBatch],
+    max_threads: usize,
+    f: impl Fn(&mut T, &OperationBatch) -> R + Sync,
+) -> Vec<R> {
+    assert_eq!(shards.len(), batches.len());
+    let pairs: Vec<(&mut T, &OperationBatch)> = shards.iter_mut().zip(batches).collect();
+    parallel_chunks(pairs, max_threads, |(shard, batch)| {
+        let span = dc_telemetry::registry().span("shard.apply");
+        let result = f(shard, batch);
+        span.finish();
+        result
+    })
 }
 
 /// Record the router's per-round batch-size imbalance as gauges: the
@@ -402,8 +423,7 @@ fn record_batch_imbalance(sub_batches: &[OperationBatch]) {
     );
 }
 
-/// Map `f` over `items` on a scoped thread pool of at most `max_threads`
-/// workers (contiguous chunks, results in input order).  The refinement
+/// Map `f` over `items` on [`parallel_chunks`]'s pool.  The refinement
 /// pass uses this to refresh model flags region-parallel; `f` must be a
 /// pure function of its item for the fan-out to stay deterministic.  Small
 /// inputs (or `max_threads <= 1`) run inline with no thread overhead.
@@ -412,40 +432,10 @@ pub(crate) fn parallel_map<T: Sync, R: Send>(
     max_threads: usize,
     f: impl Fn(&T) -> R + Sync,
 ) -> Vec<R> {
-    let n = items.len();
-    if max_threads <= 1 || n <= 1 {
+    if max_threads <= 1 || items.len() <= 1 {
         return items.iter().map(f).collect();
     }
-    let threads = max_threads.min(n);
-    let chunk = n.div_ceil(threads);
-    let enabled = dc_telemetry::registry().is_enabled();
-    // Same shape as `parallel_shard_rounds`: per-chunk result vectors
-    // reassembled in spawn order, worker panics propagated verbatim.
-    let chunk_results: Vec<(Vec<R>, dc_telemetry::ThreadDelta)> = std::thread::scope(|scope| {
-        let f = &f;
-        let mut handles = Vec::with_capacity(threads);
-        for item_chunk in items.chunks(chunk) {
-            handles.push(scope.spawn(move || {
-                let reg = dc_telemetry::registry();
-                reg.set_enabled(enabled);
-                let results = item_chunk.iter().map(f).collect::<Vec<R>>();
-                (results, reg.drain())
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
-    });
-    let mut out = Vec::with_capacity(n);
-    for (results, delta) in chunk_results {
-        out.extend(results);
-        delta.merge_into_current();
-    }
-    out
+    parallel_chunks(items.iter().collect(), max_threads, f)
 }
 
 /// What one sharded round did: the merged global view plus the per-shard
@@ -462,7 +452,7 @@ pub struct ShardedRoundReport {
     pub refine: Option<RefineReport>,
 }
 
-pub(crate) fn merge_round_reports(
+fn merge_round_reports(
     round: usize,
     per_shard: Vec<RoundReport>,
     refine: Option<RefineReport>,
@@ -497,73 +487,111 @@ pub(crate) fn merge_round_reports(
     }
 }
 
-/// N independent [`Engine`] shards served in parallel behind one facade,
-/// with a cross-shard refinement pass closing the partition's quality gap
-/// after every round (see [`crate::refine`]).
-pub struct ShardedEngine {
-    shards: Vec<Engine>,
+mod kind {
+    //! The sealed shard trait: public so it can bound [`Sharded`]'s
+    //! parameter, inside a private module so no caller names or implements
+    //! it — every method of the sharded engine is inherent.
+
+    use super::{DurabilityOptions, Engine, OperationBatch, PathBuf, RefineLog, RoundReport};
+    use super::{RoutedBatch, Sharded};
+
+    /// A kind of shard a [`Sharded`] engine serves — an in-memory
+    /// [`Engine`] or a logged [`crate::DurableEngine`] — and the per-kind
+    /// halves of its one round.  The defaults are the in-memory kind's:
+    /// nothing to log, nothing to checkpoint.
+    pub trait Shard: Send + Sized {
+        /// Why a round can fail: never in memory, a storage error when
+        /// durable.
+        type Error;
+        /// What the engine keeps beside its shards: nothing in memory, the
+        /// durability options, root directory and refine log when durable.
+        type Log;
+
+        /// The shard's engine.
+        fn engine(&self) -> &Engine;
+
+        /// Fold one routed (and, when durable, already logged) sub-batch
+        /// into the shard.
+        fn apply(&mut self, sub: &OperationBatch) -> RoundReport;
+
+        /// Make the routed round durable before any shard applies it.
+        fn log_round(
+            _sharded: &mut Sharded<Self>,
+            _batch: &OperationBatch,
+            _routed: &RoutedBatch,
+        ) -> Result<(), Self::Error> {
+            Ok(())
+        }
+
+        /// Whether a round may fold into a refiner whose lock a panicked
+        /// fold poisoned.  The durable kind refuses, since the torn view
+        /// could reach a checkpoint; in memory the fold goes on.
+        fn fold_torn_refiner() -> Result<(), Self::Error> {
+            Ok(())
+        }
+
+        /// Finish the round after the refine fold (the durable kind's
+        /// checkpoint cadence).
+        fn end_round(_sharded: &mut Sharded<Self>) -> Result<(), Self::Error> {
+            Ok(())
+        }
+    }
+
+    /// The durable kind's state beside its shards.
+    pub struct DurableLog {
+        pub(super) options: DurabilityOptions,
+        pub(super) dir: PathBuf,
+        /// The `refine/` directory's plumbing (`None` with one shard, whose
+        /// own WAL seals every round).
+        pub(super) refine: Option<RefineLog>,
+    }
+}
+
+use kind::{DurableLog, Shard};
+
+/// N shards served in parallel behind one facade, with a cross-shard
+/// refinement pass closing the partition's quality gap after every round
+/// (see [`crate::refine`]).
+///
+/// The shard kind is the one parameter.  [`ShardedEngine`] serves
+/// in-memory [`Engine`]s; [`ShardedDurableEngine`] serves
+/// [`DurableEngine`]s — one WAL + snapshot directory per shard plus a
+/// `refine/` directory (see the [module docs](crate::shard)).  Both serve
+/// the same round — route → log → parallel apply → refine fold →
+/// checkpoint, where only the durable kind logs and checkpoints — and
+/// answer the same accessors.
+pub struct Sharded<S: Shard> {
+    shards: Vec<S>,
     router: ShardRouter,
     assignment: BTreeMap<ObjectId, usize>,
     rounds_served: usize,
     max_threads: usize,
     /// `None` with one shard: the partition is the identity and there is
-    /// nothing to refine.
-    refiner: Option<CrossShardRefiner>,
+    /// nothing to refine.  Behind a lock so the pipelined front-end's refine
+    /// worker ([`crate::pipeline`]) can fold rounds while the coordinator
+    /// owns the engine.
+    refiner: Option<Arc<Mutex<CrossShardRefiner>>>,
+    log: S::Log,
 }
 
-impl ShardedEngine {
-    /// Partition an already-populated `(graph, clustering)` pair (typically
-    /// the batch algorithm's output, like [`Engine::new`]) across the
-    /// router's shards and stand up one engine per shard.  Performs one full
-    /// aggregate build per shard — the same one-off cost `Engine::new` pays,
-    /// split N ways — and, with more than one shard, builds the cross-shard
-    /// refinement state (boundary index, recovered cross edges, mirror
-    /// graph) and runs the initial repair pass.
-    ///
-    /// The clustering's id watermark must fit the shard-0 namespace (ids
-    /// below `1 << 56`) when partitioning across more than one shard —
-    /// true for any clustering produced by the batch algorithms or a plain
-    /// [`Engine`].  A [`ShardedEngine::merged_clustering`] (or
-    /// [`ShardedEngine::refined_clustering`]) from a previous *multi-shard*
-    /// run does **not** qualify: the shard count of a partition is fixed for
-    /// its lifetime, and this constructor returns
-    /// [`ShardConfigError::WatermarkOverflow`] rather than silently
-    /// re-tagging ids.  Re-sharding means re-clustering from the records.
-    pub fn new(
-        router: ShardRouter,
-        graph: SimilarityGraph,
-        clustering: Clustering,
-        dynamicc: DynamicC,
-    ) -> Result<Self, ShardConfigError> {
-        let n = router.n_shards();
-        let partition = partition_state(&router, &graph, &clustering)?;
-        let shards: Vec<Engine> = partition
-            .seeds
-            .into_iter()
-            .zip(distribute_dynamicc(dynamicc, n))
-            .map(|(seed, d)| Engine::new(seed.graph, seed.clustering, d))
-            .collect();
-        let refiner = if n > 1 {
-            let engines: Vec<&Engine> = shards.iter().collect();
-            Some(CrossShardRefiner::build(
-                &router,
-                &engines,
-                &partition.assignment,
-                n,
-            )?)
-        } else {
-            None
-        };
-        Ok(ShardedEngine {
-            shards,
-            router,
-            assignment: partition.assignment,
-            rounds_served: 0,
-            max_threads: n,
-            refiner,
-        })
-    }
+/// N in-memory [`Engine`] shards behind one facade (see [`Sharded`]).
+pub type ShardedEngine = Sharded<Engine>;
 
+/// A crash-safe [`ShardedEngine`]: one WAL + snapshot directory per shard,
+/// globally coordinated checkpoints, and min-committed-round recovery (see
+/// [`Sharded`]).  With one shard it is the durable single engine.
+pub type ShardedDurableEngine = Sharded<DurableEngine>;
+
+/// The refine directory's WAL and snapshotter.  The WAL doubles as the
+/// **group-commit log**: it holds every round's *full* batch, and its
+/// per-round fsync is the commit point from which any shard's lost
+/// (never-fsynced) sub-batch tail can be re-derived and healed on recovery.
+struct RefineLog {
+    wal: Wal,
+    snapshotter: Snapshotter,
+}
+
+impl<S: Shard> Sharded<S> {
     /// Cap the number of worker threads a round fans out to (default: one
     /// per shard).  Thread count never changes results — shards are
     /// independent — only wall-clock.
@@ -572,47 +600,82 @@ impl ShardedEngine {
         self
     }
 
-    /// Serve one round: split the batch into per-shard sub-batches with the
-    /// sticky router, run every shard's [`Engine::apply_round`] in parallel,
-    /// run the cross-shard refinement pass over the touched records, and
-    /// merge the reports.  No shard performs a full aggregate build in
-    /// steady state, and the merged report's `full_aggregate_builds` (kept
-    /// visible to the calling thread by the worker-sink merge inside the
-    /// thread pool) proves it.
-    ///
-    /// Telemetry: the round is bracketed by a `round.total` span whose
-    /// coordinating-thread phases are `round.route`, `round.shard_apply`,
-    /// and `round.refine`; per-shard wall time (`shard.apply`) merges back
-    /// from the workers, and the batch-imbalance gauges record how skewed
-    /// the router's split was this round.
-    pub fn apply_round(&mut self, batch: &OperationBatch) -> ShardedRoundReport {
-        let reg = dc_telemetry::registry();
-        let round_span = reg.span("round.total");
-        let span = reg.span("round.route");
+    /// The one sharded round: route, log, apply the sub-batches in
+    /// parallel, fold the round into the refined view, and end it.
+    fn serve_round(&mut self, batch: &OperationBatch) -> Result<ShardedRoundReport, S::Error> {
+        let round_span = dc_telemetry::registry().span("round.total");
+        let routed = self.route(batch);
+        S::log_round(self, batch, &routed)?;
+        let reports = self.apply_committed(&routed);
+        let refine = self.fold(batch, &routed)?;
+        S::end_round(self)?;
+        round_span.finish();
+        Ok(merge_round_reports(self.rounds_served, reports, refine))
+    }
+
+    /// Split the batch into per-shard sub-batches with the sticky router and
+    /// record how skewed the split was.
+    fn route(&mut self, batch: &OperationBatch) -> RoutedBatch {
+        let span = dc_telemetry::registry().span("round.route");
         let routed = self.router.route_batch(batch, &mut self.assignment);
         span.finish();
         record_batch_imbalance(&routed.sub_batches);
-        let span = reg.span("round.shard_apply");
+        routed
+    }
+
+    /// Apply a routed (and, when durable, committed) round's sub-batches to
+    /// every shard in parallel and count the round as served.
+    pub(crate) fn apply_committed(&mut self, routed: &RoutedBatch) -> Vec<RoundReport> {
+        let span = dc_telemetry::registry().span("round.shard_apply");
         let reports = parallel_shard_rounds(
             &mut self.shards,
             &routed.sub_batches,
             self.max_threads,
-            |engine, sub| engine.apply_round(sub),
+            |shard, sub| shard.apply(sub),
         );
         span.finish();
-        let span = reg.span("round.refine");
-        let refine = self.refiner.as_mut().map(|refiner| {
-            refiner.fold_round(
-                batch,
-                &routed.op_shards,
-                self.shards[0].dynamicc(),
-                self.max_threads,
-            )
-        });
-        span.finish();
         self.rounds_served += 1;
-        round_span.finish();
-        merge_round_reports(self.rounds_served, reports, refine)
+        reports
+    }
+
+    /// Fold the round into the refined view (`None` with one shard).
+    fn fold(
+        &self,
+        batch: &OperationBatch,
+        routed: &RoutedBatch,
+    ) -> Result<Option<RefineReport>, S::Error> {
+        let Some(refiner) = &self.refiner else {
+            return Ok(None);
+        };
+        let span = dc_telemetry::registry().span("round.refine");
+        let mut refiner = match refiner.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => {
+                S::fold_torn_refiner()?;
+                poisoned.into_inner()
+            }
+        };
+        let report = refiner.fold_round(
+            batch,
+            &routed.op_shards,
+            self.shards[0].engine().dynamicc(),
+            self.max_threads,
+        );
+        span.finish();
+        Ok(Some(report))
+    }
+
+    /// The round fold for the pipelined refine worker's own thread: the
+    /// shared refiner with shard 0's pass configuration (`None` with one
+    /// shard).  Like the read accessors it takes the lock regardless of
+    /// poisoning; the checkpoint refuses a torn view.
+    pub(crate) fn detached_fold(&self) -> Option<impl Fn(&OperationBatch, &[usize]) + Send> {
+        let refiner = Arc::clone(self.refiner.as_ref()?);
+        let dynamicc = self.shards[0].engine().dynamicc().clone();
+        let max_threads = self.max_threads;
+        Some(move |batch: &OperationBatch, op_shards: &[usize]| {
+            lock_unpoisoned(&refiner).fold_round(batch, op_shards, &dynamicc, max_threads);
+        })
     }
 
     /// Number of shards.
@@ -621,16 +684,12 @@ impl ShardedEngine {
     }
 
     /// The per-shard engines, in shard order.
-    pub fn shards(&self) -> &[Engine] {
+    pub fn shards(&self) -> &[S] {
         &self.shards
     }
 
-    /// The router in use.
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
-    }
-
-    /// Rounds served so far.
+    /// Rounds served across the engine's whole (for the durable kind,
+    /// possibly multi-process) lifetime.
     pub fn rounds_served(&self) -> usize {
         self.rounds_served
     }
@@ -647,22 +706,22 @@ impl ShardedEngine {
 
     /// Cross-shard similarity edges currently missing from the per-shard
     /// graphs and **recovered** by the refinement pass — exact across
-    /// rounds: the counter grows when a served round introduces a
-    /// cross-shard edge and shrinks when one endpoint is removed or updated
-    /// apart.  (Before refinement existed this was the
-    /// `cross_shard_edges_dropped` loss, counted at the initial partition
-    /// only.)  Always 0 with one shard.
+    /// rounds and restarts: the counter grows when a served round
+    /// introduces a cross-shard edge and shrinks when one endpoint is
+    /// removed or updated apart.  Always 0 with one shard.
     pub fn cross_shard_edges_recovered(&self) -> usize {
         self.refiner
             .as_ref()
-            .map_or(0, CrossShardRefiner::cross_edges_recovered)
+            .map_or(0, |r| lock_unpoisoned(r).cross_edges_recovered())
     }
 
-    /// The report of the most recent refinement pass (the initial repair
-    /// right after construction, then one per served round); `None` with one
-    /// shard.
+    /// The report of the most recent refinement pass (the initial repair or
+    /// recovery replay right after opening, then one per served round);
+    /// `None` with one shard.
     pub fn last_refine_report(&self) -> Option<RefineReport> {
-        self.refiner.as_ref().map(CrossShardRefiner::last_report)
+        self.refiner
+            .as_ref()
+            .map(|r| lock_unpoisoned(r).last_report())
     }
 
     /// Diagnostic mode: make the refinement pass re-run the full global
@@ -672,8 +731,8 @@ impl ShardedEngine {
     /// cost, which `tests/incremental_refine.rs` uses as the reference the
     /// dirty-region path is checked against.  No-op with one shard.
     pub fn set_full_repair(&mut self, full_repair: bool) {
-        if let Some(refiner) = self.refiner.as_mut() {
-            refiner.set_full_repair(full_repair);
+        if let Some(refiner) = &self.refiner {
+            lock_unpoisoned(refiner).set_full_repair(full_repair);
         }
     }
 
@@ -681,57 +740,145 @@ impl ShardedEngine {
     /// statistics.  (The refinement pass keeps its own counters in
     /// [`RefineReport`]; it never touches the per-shard statistics.)
     pub fn stats(&self) -> DynamicCStats {
-        DynamicCStats::merged(self.shards.iter().map(|s| *s.stats()))
+        DynamicCStats::merged(self.shards.iter().map(|s| *s.engine().stats()))
     }
 
     /// Total pairwise similarity computations: the per-shard graphs' sum
-    /// plus the cross-shard boundary pairs computed by the refinement pass.
+    /// plus the cross-shard boundary pairs computed by this process's
+    /// refinement passes.  The cross-shard component counts work *since
+    /// construction or open* (recovery rebuilds the derived cross-shard
+    /// index, and that rebuild is the work the process performed); the
+    /// per-shard component is restart-exact — see
+    /// [`Sharded::shard_comparisons`].
     pub fn comparisons(&self) -> u64 {
         self.shard_comparisons()
             + self
                 .refiner
                 .as_ref()
-                .map_or(0, CrossShardRefiner::cross_comparisons)
+                .map_or(0, |r| lock_unpoisoned(r).cross_comparisons())
     }
 
     /// Pairwise similarity computations performed by the per-shard graphs
     /// alone (excluding the refinement pass's cross-shard boundary pairs).
-    /// This component is durable per shard, so it is bit-identical across
-    /// restarts of a [`ShardedDurableEngine`].
+    /// The durable kind persists them in the per-shard snapshots, so they
+    /// are bit-identical between a restarted and a never-restarted engine.
     pub fn shard_comparisons(&self) -> u64 {
-        self.shards.iter().map(|s| s.graph().comparisons()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.engine().graph().comparisons())
+            .sum()
     }
 
     /// The merged global clustering: the union of the per-shard clusterings
     /// under their disjoint id namespaces, with the watermark at the maximum
     /// of the per-shard watermarks.  This is the *pre-refinement* view; see
-    /// [`ShardedEngine::refined_clustering`] for the repaired one.
+    /// [`Sharded::refined_clustering`] for the repaired one.
     pub fn merged_clustering(&self) -> Clustering {
-        merge_clusterings(self.shards.iter().map(|s| s.clustering()))
+        merge_clusterings(self.shards.iter().map(|s| s.engine().clustering()))
     }
 
     /// The refined global clustering: the merged per-shard clusterings with
     /// the cross-shard repair applied (recovered edges made visible, then
     /// the trained merge/split passes run globally).  With one shard this is
-    /// exactly [`ShardedEngine::merged_clustering`].  Recomputed after every
-    /// round; repair-created clusters carry ids from the reserved refine
-    /// namespace, so the result must not seed a new multi-shard partition.
+    /// exactly [`Sharded::merged_clustering`].  Recomputed after every
+    /// round and bit-identical across restarts; repair-created clusters
+    /// carry ids from the reserved refine namespace, so the result must not
+    /// seed a new multi-shard partition.
     pub fn refined_clustering(&self) -> Clustering {
         match &self.refiner {
-            Some(refiner) => refiner.refined().clone(),
+            Some(refiner) => lock_unpoisoned(refiner).refined().clone(),
             None => self.merged_clustering(),
         }
     }
 }
 
-impl std::fmt::Debug for ShardedEngine {
+impl<S: Shard> std::fmt::Debug for Sharded<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedEngine")
+        f.debug_struct("Sharded")
             .field("shards", &self.shards.len())
             .field("objects", &self.assignment.len())
             .field("rounds_served", &self.rounds_served)
             .field("router", &self.router)
             .finish()
+    }
+}
+
+impl Shard for Engine {
+    type Error = Infallible;
+    type Log = ();
+
+    fn engine(&self) -> &Engine {
+        self
+    }
+
+    fn apply(&mut self, sub: &OperationBatch) -> RoundReport {
+        self.apply_round(sub)
+    }
+}
+
+impl Sharded<Engine> {
+    /// Partition an already-populated `(graph, clustering)` pair (typically
+    /// the batch algorithm's output, like [`Engine::new`]) across the
+    /// router's shards and stand up one engine per shard.  Performs one full
+    /// aggregate build per shard — the same one-off cost `Engine::new` pays,
+    /// split N ways — and, with more than one shard, builds the cross-shard
+    /// refinement state (boundary index, recovered cross edges, mirror
+    /// graph) and runs the initial repair pass.
+    ///
+    /// The clustering's id watermark must fit the shard-0 namespace (ids
+    /// below `1 << 56`) when partitioning across more than one shard —
+    /// true for any clustering produced by the batch algorithms or a plain
+    /// [`Engine`].  A [`Sharded::merged_clustering`] (or
+    /// [`Sharded::refined_clustering`]) from a previous *multi-shard* run
+    /// does **not** qualify: the shard count of a partition is fixed for its
+    /// lifetime, and this constructor returns
+    /// [`ShardConfigError::WatermarkOverflow`] rather than silently
+    /// re-tagging ids.  Re-sharding means re-clustering from the records.
+    pub fn new(
+        router: ShardRouter,
+        graph: SimilarityGraph,
+        clustering: Clustering,
+        dynamicc: DynamicC,
+    ) -> Result<Self, ShardConfigError> {
+        let n = router.n_shards();
+        let partition = partition_state(&router, &graph, &clustering)?;
+        let shards: Vec<Engine> = partition
+            .seeds
+            .into_iter()
+            .zip(distribute_dynamicc(dynamicc, n))
+            .map(|(seed, d)| Engine::new(seed.graph, seed.clustering, d))
+            .collect();
+        let engines: Vec<&Engine> = shards.iter().collect();
+        let refiner = (n > 1)
+            .then(|| CrossShardRefiner::build(&router, &engines, &partition.assignment, n))
+            .transpose()?;
+        Ok(Sharded {
+            shards,
+            router,
+            assignment: partition.assignment,
+            rounds_served: 0,
+            max_threads: n,
+            refiner: refiner.map(|r| Arc::new(Mutex::new(r))),
+            log: (),
+        })
+    }
+
+    /// Serve one round: split the batch into per-shard sub-batches with the
+    /// sticky router, run every shard's [`Engine::apply_round`] in parallel,
+    /// run the cross-shard refinement pass over the touched records, and
+    /// merge the reports.  No shard performs a full aggregate build in
+    /// steady state, and the merged report's `full_aggregate_builds` (kept
+    /// visible to the calling thread by the worker-sink merge inside the
+    /// thread pool) proves it.
+    ///
+    /// Telemetry: the round is bracketed by a `round.total` span whose
+    /// coordinating-thread phases are `round.route`, `round.shard_apply`,
+    /// and (with more than one shard) `round.refine`; per-shard wall time
+    /// (`shard.apply`) merges back from the workers, and the batch-imbalance
+    /// gauges record how skewed the router's split was this round.
+    pub fn apply_round(&mut self, batch: &OperationBatch) -> ShardedRoundReport {
+        let Ok(report) = self.serve_round(batch);
+        report
     }
 }
 
@@ -786,68 +933,20 @@ pub struct ShardedRecoveryReport {
     pub per_shard: Vec<RecoveryReport>,
 }
 
-/// A crash-safe [`ShardedEngine`]: one WAL + snapshot directory per shard,
-/// globally coordinated checkpoints, and min-committed-round recovery.
-pub struct ShardedDurableEngine {
-    shards: Vec<DurableEngine>,
-    router: ShardRouter,
-    assignment: BTreeMap<ObjectId, usize>,
-    rounds_served: usize,
-    max_threads: usize,
-    options: DurabilityOptions,
-    dir: PathBuf,
-    /// The cross-shard refinement layer and its durable home (`None` with
-    /// one shard).  The refined view is history-bearing state: every round's
-    /// full batch is logged in `refine/` before the pass runs, and the view
-    /// is snapshotted at checkpoints, so recovery reloads the snapshot and
-    /// replays the same pass deterministically over the logged tail — see
-    /// [`crate::refine`].
-    refine: Option<DurableRefine>,
-}
-
-/// The refinement layer's durable plumbing: its refiner plus the `refine/`
-/// directory's WAL and snapshotter.  The `refine/` WAL doubles as the
-/// **group-commit log**: it holds every round's *full* batch, and its
-/// per-round fsync is the commit point from which any shard's lost
-/// (never-fsynced) sub-batch tail can be re-derived and healed on recovery.
-/// The refiner sits behind a lock so the pipelined front-end's refine
-/// worker ([`crate::pipeline`]) can fold rounds while the coordinator owns
-/// the engine.
-struct DurableRefine {
-    refiner: Arc<Mutex<CrossShardRefiner>>,
-    wal: Wal,
-    snapshotter: Snapshotter,
-}
-
-/// Lock the refiner for a round fold or a checkpoint.  A poisoned lock
-/// means a fold panicked midway and left the refined view torn, so it is
-/// neither extended nor made durable; reopening recovers the committed
-/// state.  Read-only accessors take the guard regardless
+/// The error a round fold or checkpoint of the durable kind returns for a
+/// poisoned refiner lock: a fold panicked midway and left the refined view
+/// torn, so it is neither extended nor made durable; reopening recovers the
+/// committed state.  Read-only accessors take the guard regardless
 /// ([`lock_unpoisoned`]).
-fn lock_refiner(
-    refiner: &Mutex<CrossShardRefiner>,
-) -> Result<MutexGuard<'_, CrossShardRefiner>, StorageError> {
-    refiner.lock().map_err(|_| {
-        StorageError::Inconsistent(
-            "a refine fold panicked and left the refined view torn; reopen to recover".into(),
-        )
-    })
+fn torn_refiner() -> StorageError {
+    StorageError::Inconsistent(
+        "a refine fold panicked and left the refined view torn; reopen to recover".into(),
+    )
 }
 
 fn refine_dir(dir: &Path) -> PathBuf {
     dir.join("refine")
 }
-
-/// Shards never checkpoint on their own: a per-shard auto-checkpoint could
-/// snapshot a round that other shards have not yet logged, putting durable
-/// state ahead of the globally committed round.
-const PER_SHARD_OPTIONS: DurabilityOptions = DurabilityOptions {
-    checkpoint_every_rounds: 0,
-    // Group commit is coordinated by the sharded engine (it owns the single
-    // commit-point fsync); the per-shard engines never group-commit on
-    // their own.
-    group_commit: false,
-};
 
 fn shard_dir(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard:03}"))
@@ -869,17 +968,51 @@ fn derive_assignment(shards: &[DurableEngine]) -> Result<BTreeMap<ObjectId, usiz
     Ok(assignment)
 }
 
-impl ShardedDurableEngine {
+impl Shard for DurableEngine {
+    type Error = StorageError;
+    type Log = DurableLog;
+
+    fn engine(&self) -> &Engine {
+        DurableEngine::engine(self)
+    }
+
+    fn apply(&mut self, sub: &OperationBatch) -> RoundReport {
+        self.apply_logged(sub)
+    }
+
+    fn log_round(
+        sharded: &mut Sharded<Self>,
+        batch: &OperationBatch,
+        routed: &RoutedBatch,
+    ) -> Result<(), StorageError> {
+        sharded.seal(batch, routed, "round.group_commit").map(drop)
+    }
+
+    fn fold_torn_refiner() -> Result<(), StorageError> {
+        Err(torn_refiner())
+    }
+
+    fn end_round(sharded: &mut Sharded<Self>) -> Result<(), StorageError> {
+        if sharded.checkpoint_due() {
+            let span = dc_telemetry::registry().span("round.checkpoint");
+            sharded.checkpoint()?;
+            span.finish();
+        }
+        Ok(())
+    }
+}
+
+impl Sharded<DurableEngine> {
     /// Open the sharded durable engine rooted at `dir` (one subdirectory per
     /// shard): recover every shard to the globally committed round if
     /// durable state exists, otherwise partition the bootstrap state and
     /// write each shard's initial checkpoint.
     ///
-    /// As with [`DurableEngine::open`], `graph_config` and `dynamicc` are
-    /// construction-time inputs supplied by the caller on every open; the
-    /// router must be configured identically across restarts (same shard
-    /// count, same blocking-derived keys), since the on-disk partition was
-    /// produced by it.
+    /// `graph_config` and `dynamicc` are construction-time inputs supplied
+    /// by the caller on every open (see [`crate::durable`] for why neither
+    /// is persisted); the router must be configured identically across
+    /// restarts (same shard count, same blocking-derived keys), since the
+    /// on-disk partition was produced by it.
     pub fn open(
         dir: impl AsRef<Path>,
         router: ShardRouter,
@@ -890,15 +1023,7 @@ impl ShardedDurableEngine {
     ) -> Result<(Self, ShardedRecoveryReport), StorageError> {
         let dir = dir.as_ref();
         let n = router.n_shards();
-        if n > MAX_SHARDS - 1 {
-            return Err(StorageError::Inconsistent(
-                ShardConfigError::TooManyShards {
-                    n_shards: n,
-                    max_shards: MAX_SHARDS - 1,
-                }
-                .to_string(),
-            ));
-        }
+        check_shard_count(n).map_err(|e| StorageError::Inconsistent(e.to_string()))?;
         std::fs::create_dir_all(dir).map_err(|e| StorageError::Io {
             path: dir.to_path_buf(),
             op: "create dir",
@@ -923,15 +1048,13 @@ impl ShardedDurableEngine {
         // the fresh path (a crash during a fresh open leaves a prefix of
         // the directories initialized at round 0; re-running the fresh path
         // below recovers those and bootstraps the rest).
-        let mut durable_rounds = Vec::with_capacity(n);
+        let mut durable_rounds = Vec::with_capacity(n + 1);
         let mut peek_dropped_torn_tail = false;
-        for shard in 0..n {
-            let (round, dropped) = DurableEngine::last_durable_round(&shard_dir(dir, shard))?;
-            peek_dropped_torn_tail |= dropped;
-            durable_rounds.push(round);
-        }
-        if n > 1 {
-            let (round, dropped) = DurableEngine::last_durable_round(&refine_dir(dir))?;
+        for peeked in (0..n)
+            .map(|s| shard_dir(dir, s))
+            .chain((n > 1).then(|| refine_dir(dir)))
+        {
+            let (round, dropped) = DurableEngine::last_durable_round(&peeked)?;
             peek_dropped_torn_tail |= dropped;
             durable_rounds.push(round);
         }
@@ -953,24 +1076,16 @@ impl ShardedDurableEngine {
                 report.recovered = true;
                 report.committed_round = committed;
                 report.dropped_torn_tail = peek_dropped_torn_tail;
-                // Every entry is Some here (that is what selected this
-                // branch); the fallback keeps the arithmetic total.
-                report.rolled_back_rounds = durable_rounds
-                    .iter()
-                    .map(|r| r.unwrap_or(committed).saturating_sub(committed))
-                    .max()
-                    .unwrap_or(0);
+                let newest = durable_rounds.iter().flatten().max();
+                report.rolled_back_rounds = newest.map_or(0, |newest| newest - committed);
                 for (shard, d) in dynamiccs.into_iter().enumerate() {
-                    let (engine, shard_report) = DurableEngine::open_with_replay_cap(
-                        shard_dir(dir, shard),
+                    let (engine, shard_report) = DurableEngine::recover(
+                        &shard_dir(dir, shard),
                         graph_config.clone(),
                         d,
-                        PER_SHARD_OPTIONS,
-                        Some(committed),
-                        // dc-lint: allow(R1) reason="the bootstrap closure is only invoked when a shard directory has no durable state, and this branch was selected because every directory has some; reaching it means last_durable_round and open disagree about the same file"
-                        || unreachable!("recovery must not bootstrap"),
+                        committed,
                     )?;
-                    let recovered_to = engine.rounds_served() as u64;
+                    let recovered_to = engine.engine().rounds_served() as u64;
                     // A shard may land *below* the committed round only when
                     // the group-commit log can heal it (more than one shard);
                     // above it is impossible (the replay cap) and flagged.
@@ -992,16 +1107,15 @@ impl ShardedDurableEngine {
                     .map_err(|e| StorageError::Inconsistent(e.to_string()))?;
                 for ((shard, seed), d) in partition.seeds.into_iter().enumerate().zip(dynamiccs) {
                     let (engine, shard_report) = DurableEngine::open(
-                        shard_dir(dir, shard),
+                        &shard_dir(dir, shard),
                         graph_config.clone(),
                         d,
-                        PER_SHARD_OPTIONS,
                         move || (seed.graph, seed.clustering),
                     )?;
-                    if engine.rounds_served() != 0 {
+                    let served = engine.engine().rounds_served();
+                    if served != 0 {
                         return Err(StorageError::Inconsistent(format!(
-                            "shard {shard} has {} served rounds but other shards are fresh",
-                            engine.rounds_served()
+                            "shard {shard} has {served} served rounds but other shards are fresh"
                         )));
                     }
                     report.per_shard.push(shard_report);
@@ -1014,21 +1128,18 @@ impl ShardedDurableEngine {
         // shard's recovered graph knows exactly which objects it owns.
         let mut assignment = derive_assignment(&shards)?;
 
-        let recovered = report.recovered;
-        let committed_round = committed.unwrap_or(0);
-        let refine = if n > 1 {
-            Some(Self::open_refine(
+        let (refiner, refine) = if n > 1 {
+            let refine = Self::open_refine(
                 dir,
                 &router,
                 &graph_config,
                 &mut shards,
                 &assignment,
-                recovered,
-                committed_round,
                 &mut report,
-            )?)
+            )?;
+            (Some(refine.0), Some(refine.1))
         } else {
-            None
+            (None, None)
         };
         if report.healed_rounds > 0 {
             // Healing re-applied lost rounds to lagging shards, so the
@@ -1036,8 +1147,8 @@ impl ShardedDurableEngine {
             // healed graphs.
             assignment = derive_assignment(&shards)?;
         }
-        if let Some(refine) = &refine {
-            if recovered && lock_unpoisoned(&refine.refiner).shard_map() != assignment {
+        if let Some(refiner) = &refiner {
+            if report.recovered && refiner.shard_map() != assignment {
                 return Err(StorageError::Inconsistent(
                     "replayed refine assignment disagrees with the recovered shard \
                      ownership"
@@ -1046,17 +1157,20 @@ impl ShardedDurableEngine {
             }
         }
 
-        let rounds_served = shards[0].rounds_served();
+        let rounds_served = shards[0].engine().rounds_served();
         Ok((
-            ShardedDurableEngine {
+            Sharded {
                 shards,
                 router,
                 assignment,
                 rounds_served,
                 max_threads: n,
-                options,
-                dir: dir.to_path_buf(),
-                refine,
+                refiner: refiner.map(|r| Arc::new(Mutex::new(r))),
+                log: DurableLog {
+                    options,
+                    dir: dir.to_path_buf(),
+                    refine,
+                },
             },
             report,
         ))
@@ -1075,30 +1189,24 @@ impl ShardedDurableEngine {
     /// the crash) gets its sub-batch re-logged and re-applied — the refine
     /// WAL holds every committed round's full batch, so nothing committed
     /// can be lost.  Healed shard WALs are fsynced once at the end.
-    #[allow(clippy::too_many_arguments)]
     fn open_refine(
         dir: &Path,
         router: &ShardRouter,
         graph_config: &GraphConfig,
         shards: &mut [DurableEngine],
         assignment: &BTreeMap<ObjectId, usize>,
-        recovered: bool,
-        committed: u64,
         report: &mut ShardedRecoveryReport,
-    ) -> Result<DurableRefine, StorageError> {
+    ) -> Result<(CrossShardRefiner, RefineLog), StorageError> {
         let refine_root = refine_dir(dir);
         let snapshotter = Snapshotter::new(&refine_root)?;
-        if !recovered {
+        let committed = report.committed_round;
+        if !report.recovered {
             let engines: Vec<&Engine> = shards.iter().map(DurableEngine::engine).collect();
             let refiner = CrossShardRefiner::build(router, &engines, assignment, router.n_shards())
                 .map_err(|e| StorageError::Inconsistent(e.to_string()))?;
             snapshotter.write(0, &refiner.snapshot_ref())?;
             let wal = Wal::create(&refine_root, 0)?;
-            return Ok(DurableRefine {
-                refiner: Arc::new(Mutex::new(refiner)),
-                wal,
-                snapshotter,
-            });
+            return Ok((refiner, RefineLog { wal, snapshotter }));
         }
 
         let Some((snapshot_round, state)) = snapshotter.load_latest::<RefineState>()? else {
@@ -1152,7 +1260,7 @@ impl ShardedDurableEngine {
                 }
                 let routed = router.route_batch(&record.batch, &mut replay_assignment);
                 for (shard, engine) in shards.iter_mut().enumerate() {
-                    if (engine.rounds_served() as u64) < record.round {
+                    if (engine.engine().rounds_served() as u64) < record.round {
                         let logged = engine.log_round_nosync(&routed.sub_batches[shard])?;
                         if logged != record.round {
                             return Err(StorageError::Inconsistent(format!(
@@ -1192,32 +1300,20 @@ impl ShardedDurableEngine {
                 engine.wal_sync()?;
             }
         }
-        let wal = match tail_wal {
-            Some(wal) if wal.last_round() == committed && wal.start_round() >= snapshot_round => {
-                wal
-            }
-            _ => Wal::create(&refine_root, committed)?,
-        };
-        Ok(DurableRefine {
-            refiner: Arc::new(Mutex::new(refiner)),
-            wal,
-            snapshotter,
-        })
-    }
-
-    /// Cap the number of worker threads a round fans out to (default: one
-    /// per shard).
-    pub fn with_max_threads(mut self, max_threads: usize) -> Self {
-        self.max_threads = max_threads.max(1);
-        self
+        let wal = tail_segment(&refine_root, tail_wal, snapshot_round, committed)?;
+        Ok((refiner, RefineLog { wal, snapshotter }))
     }
 
     /// Serve one round durably: commit it (route, stage every shard's
-    /// sub-batch, seal — see [`ShardedDurableEngine::commit_round`]), apply
+    /// sub-batch, seal — see [`DurabilityOptions::group_commit`]), apply
     /// the sub-batches in parallel, and fold the round into the refined
     /// view.  Checkpoints run globally per
     /// [`DurabilityOptions::checkpoint_every_rounds`], after the round has
     /// completed on every shard.
+    ///
+    /// Telemetry: as [`ShardedEngine::apply_round`], plus the
+    /// `round.group_commit` span around stage and seal and the
+    /// `round.checkpoint` span when the cadence fires.
     ///
     /// An `Err` leaves the engine in an unspecified in-memory state (some
     /// shards may have applied the round); drop it and reopen.
@@ -1225,37 +1321,26 @@ impl ShardedDurableEngine {
         &mut self,
         batch: &OperationBatch,
     ) -> Result<ShardedRoundReport, StorageError> {
-        let reg = dc_telemetry::registry();
-        let round_span = reg.span("round.total");
-        let (routed, _) = self.commit_round(batch, "round.group_commit")?;
-        let reports = self.apply_committed(&routed);
-        let refine = match &self.refine {
-            Some(refine) => {
-                let span = reg.span("round.refine");
-                let report = lock_refiner(&refine.refiner)?.fold_round(
-                    batch,
-                    &routed.op_shards,
-                    self.shards[0].engine().dynamicc(),
-                    self.max_threads,
-                );
-                span.finish();
-                Some(report)
-            }
-            None => None,
-        };
-        if self.checkpoint_due() {
-            let span = reg.span("round.checkpoint");
-            self.checkpoint()?;
-            span.finish();
-        }
-        round_span.finish();
-        Ok(merge_round_reports(self.rounds_served, reports, refine))
+        self.serve_round(batch)
     }
 
-    /// The commit step of a sharded round, shared by
-    /// [`ShardedDurableEngine::apply_round`] and the pipelined coordinator:
-    /// route the batch, stage every shard's sub-batch in its WAL without
-    /// fsync, then seal the round:
+    /// The commit step of a sharded round for the pipelined coordinator,
+    /// which applies and folds the round itself: route the batch and seal
+    /// it under a span named `span`, whose wall time is returned with the
+    /// routing.  Once this returns the round is durable and may be
+    /// acknowledged.
+    pub(crate) fn commit_round(
+        &mut self,
+        batch: &OperationBatch,
+        span: &'static str,
+    ) -> Result<(RoutedBatch, u64), StorageError> {
+        let routed = self.route(batch);
+        let commit_ns = self.seal(batch, &routed, span)?;
+        Ok((routed, commit_ns))
+    }
+
+    /// Stage every shard's sub-batch in its WAL without fsync, then seal
+    /// the round:
     ///
     /// * with [`DurabilityOptions::group_commit`] off, every shard WAL is
     ///   fsynced first;
@@ -1265,31 +1350,25 @@ impl ShardedDurableEngine {
     ///   is the commit point.
     ///
     /// So a round costs N+1 fsyncs with group commit off and 1 with it on,
-    /// and 1 in both modes at N=1.  Once this returns the round is durable
-    /// and may be acknowledged; recovery heals any shard whose staged tail
-    /// was lost from the refine WAL (see
-    /// [`ShardedRecoveryReport::healed_rounds`]).  Stage and seal run under
-    /// one span named `span`; its wall time is returned with the routing.
-    pub(crate) fn commit_round(
+    /// and 1 in both modes at N=1.  Recovery heals any shard whose staged
+    /// tail was lost from the refine WAL (see
+    /// [`ShardedRecoveryReport::healed_rounds`]).  Returns the wall time of
+    /// the `span` that brackets stage and seal.
+    fn seal(
         &mut self,
         batch: &OperationBatch,
+        routed: &RoutedBatch,
         span: &'static str,
-    ) -> Result<(RoutedBatch, u64), StorageError> {
-        let reg = dc_telemetry::registry();
-        let route_span = reg.span("round.route");
-        let routed = self.router.route_batch(batch, &mut self.assignment);
-        route_span.finish();
-        record_batch_imbalance(&routed.sub_batches);
-
+    ) -> Result<u64, StorageError> {
         let round = self.rounds_served as u64 + 1;
-        let commit_span = reg.span(span);
+        let commit_span = dc_telemetry::registry().span(span);
         for (shard, sub) in self.shards.iter_mut().zip(&routed.sub_batches) {
             let logged = shard.log_round_nosync(sub)?;
             debug_assert_eq!(logged, round, "shards advance in lock-step");
         }
-        match &mut self.refine {
+        match &mut self.log.refine {
             Some(refine) => {
-                if !self.options.group_commit {
+                if !self.log.options.group_commit {
                     for shard in &mut self.shards {
                         shard.wal_sync()?;
                     }
@@ -1298,42 +1377,14 @@ impl ShardedDurableEngine {
             }
             None => self.shards[0].wal_sync()?,
         }
-        Ok((routed, commit_span.finish_ns()))
-    }
-
-    /// Apply a committed round's sub-batches to every shard in parallel and
-    /// count the round as served.
-    pub(crate) fn apply_committed(&mut self, routed: &RoutedBatch) -> Vec<RoundReport> {
-        let span = dc_telemetry::registry().span("round.shard_apply");
-        let reports = parallel_shard_rounds(
-            &mut self.shards,
-            &routed.sub_batches,
-            self.max_threads,
-            |shard, sub| shard.apply_logged(sub),
-        );
-        span.finish();
-        self.rounds_served += 1;
-        reports
+        Ok(commit_span.finish_ns())
     }
 
     /// Whether the automatic checkpoint cadence fires after the rounds
     /// served so far.
     pub(crate) fn checkpoint_due(&self) -> bool {
-        let every = self.options.checkpoint_every_rounds as u64;
+        let every = self.log.options.checkpoint_every_rounds as u64;
         every > 0 && (self.rounds_served as u64).is_multiple_of(every)
-    }
-
-    /// The refiner, shared with the pipelined refine worker (`None` with one
-    /// shard).
-    pub(crate) fn shared_refiner(&self) -> Option<Arc<Mutex<CrossShardRefiner>>> {
-        self.refine
-            .as_ref()
-            .map(|refine| Arc::clone(&refine.refiner))
-    }
-
-    /// The worker-thread cap a round fans out to.
-    pub(crate) fn max_threads(&self) -> usize {
-        self.max_threads
     }
 
     /// Checkpoint every shard now (snapshot + WAL rotation + prune per
@@ -1346,10 +1397,9 @@ impl ShardedDurableEngine {
             shard.checkpoint()?;
         }
         let round = self.rounds_served as u64;
-        if let Some(refine) = &mut self.refine {
-            refine
-                .snapshotter
-                .write(round, &lock_refiner(&refine.refiner)?.snapshot_ref())?;
+        if let (Some(refiner), Some(refine)) = (&self.refiner, &mut self.log.refine) {
+            let refiner = refiner.lock().map_err(|_| torn_refiner())?;
+            refine.snapshotter.write(round, &refiner.snapshot_ref())?;
             if refine.wal.start_round() != round {
                 refine.wal = Wal::create(refine.snapshotter.dir(), round)?;
             }
@@ -1358,104 +1408,9 @@ impl ShardedDurableEngine {
         Ok(round)
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The per-shard durable engines, in shard order.
-    pub fn shards(&self) -> &[DurableEngine] {
-        &self.shards
-    }
-
-    /// Rounds served across the engine's whole (possibly multi-process)
-    /// lifetime.
-    pub fn rounds_served(&self) -> usize {
-        self.rounds_served
-    }
-
     /// The state directory this engine is rooted at.
     pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The shard currently owning `id`, if the object is live.
-    pub fn shard_of(&self, id: ObjectId) -> Option<usize> {
-        self.assignment.get(&id).copied()
-    }
-
-    /// The global [`DynamicCStats`]: the field-wise sum of the per-shard
-    /// statistics.
-    pub fn stats(&self) -> DynamicCStats {
-        DynamicCStats::merged(self.shards.iter().map(|s| *s.stats()))
-    }
-
-    /// Total pairwise similarity computations: the per-shard graphs' sum
-    /// plus the cross-shard boundary pairs computed by this process's
-    /// refinement passes.  The cross-shard component counts work *since this
-    /// open* (recovery rebuilds the derived cross-shard index, and that
-    /// rebuild is the work the process performed); the per-shard component
-    /// is durable and restart-exact — see
-    /// [`ShardedDurableEngine::shard_comparisons`].
-    pub fn comparisons(&self) -> u64 {
-        self.shard_comparisons()
-            + self
-                .refine
-                .as_ref()
-                .map_or(0, |r| lock_unpoisoned(&r.refiner).cross_comparisons())
-    }
-
-    /// Pairwise similarity computations performed by the per-shard graphs
-    /// alone — persisted in the per-shard snapshots, so bit-identical
-    /// between a restarted and a never-restarted engine.
-    pub fn shard_comparisons(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.engine().graph().comparisons())
-            .sum()
-    }
-
-    /// Cross-shard edges currently recovered by the refinement pass (see
-    /// [`ShardedEngine::cross_shard_edges_recovered`]); restart-exact.
-    pub fn cross_shard_edges_recovered(&self) -> usize {
-        self.refine
-            .as_ref()
-            .map_or(0, |r| lock_unpoisoned(&r.refiner).cross_edges_recovered())
-    }
-
-    /// The report of the most recent refinement pass; `None` with one shard.
-    pub fn last_refine_report(&self) -> Option<RefineReport> {
-        self.refine
-            .as_ref()
-            .map(|r| lock_unpoisoned(&r.refiner).last_report())
-    }
-
-    /// The merged global clustering (see
-    /// [`ShardedEngine::merged_clustering`]).
-    pub fn merged_clustering(&self) -> Clustering {
-        merge_clusterings(self.shards.iter().map(|s| s.clustering()))
-    }
-
-    /// The refined global clustering (see
-    /// [`ShardedEngine::refined_clustering`]); bit-identical across
-    /// restarts because the refinement state is rebuilt from the recovered
-    /// per-shard graphs.
-    pub fn refined_clustering(&self) -> Clustering {
-        match &self.refine {
-            Some(refine) => lock_unpoisoned(&refine.refiner).refined().clone(),
-            None => self.merged_clustering(),
-        }
-    }
-}
-
-impl std::fmt::Debug for ShardedDurableEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedDurableEngine")
-            .field("dir", &self.dir)
-            .field("shards", &self.shards.len())
-            .field("objects", &self.assignment.len())
-            .field("rounds_served", &self.rounds_served)
-            .finish()
+        &self.log.dir
     }
 }
 
@@ -1672,6 +1627,7 @@ mod tests {
         let router = ShardRouter::new(2, Box::new(ExhaustiveBlocking::new()));
         let engine = ShardedEngine::new(router, graph, clustering, dynamicc).unwrap();
         let refiner = engine.refiner.as_ref().expect("two shards refine");
+        let refiner = refiner.lock().unwrap();
 
         let owned = refiner.export_state().encode_to_vec();
         let clones_before = dc_types::clustering_clone_count();

@@ -1,21 +1,25 @@
 //! Recovery-equivalence regression tests for the durable serving path.
 //!
-//! The invariant under test: a [`DurableEngine`] that is killed and reopened
-//! between (every pair of) rounds produces **bit-identical** clusterings —
-//! down to the cluster ids — and bit-identical [`DynamicCStats`] counters to
-//! an [`Engine`] that served the same workload without ever restarting.
-//! Checked on both fixture families (textual Febrl + DB-index objective,
-//! numeric Access + correlation objective), with checkpoints landing both on
-//! and off the kill points, and with recovery required to perform **zero**
-//! full O(E) aggregate builds (the snapshot restores the maintained
-//! aggregates bit-for-bit instead of rebuilding them).
+//! The invariant under test: a one-shard [`ShardedDurableEngine`] — the
+//! durable single engine — that is killed and reopened between (every pair
+//! of) rounds produces **bit-identical** clusterings — down to the cluster
+//! ids — and bit-identical [`DynamicCStats`] counters to an [`Engine`] that
+//! served the same workload without ever restarting.  Checked on both
+//! fixture families (textual Febrl + DB-index objective, numeric Access +
+//! correlation objective), with checkpoints landing both on and off the kill
+//! points, and with recovery required to perform **zero** full O(E)
+//! aggregate builds (the snapshot restores the maintained aggregates
+//! bit-for-bit instead of rebuilding them).
 
-use dc_core::{DurabilityOptions, DurableEngine, DynamicC, Engine, RoundReport};
+use dc_core::{
+    DurabilityOptions, DynamicC, Engine, RoundReport, ShardedDurableEngine, ShardedRecoveryReport,
+};
 use dc_datagen::fixtures::{small_access_workload, small_febrl_workload};
 use dc_datagen::DynamicWorkload;
 use dc_objective::{CorrelationObjective, DbIndexObjective, ObjectiveFunction};
-use dc_similarity::{BuildCounter, GraphConfig, SimilarityGraph};
+use dc_similarity::{BuildCounter, GraphConfig, ShardRouter, SimilarityGraph};
 use dc_types::{Clustering, Snapshot};
+use std::path::Path;
 use std::sync::Arc;
 
 mod common;
@@ -32,6 +36,24 @@ fn trained_setup(
     objective: Arc<dyn ObjectiveFunction>,
 ) -> (SimilarityGraph, Clustering, Vec<Snapshot>, DynamicC) {
     common::trained_setup(workload, graph_config, objective, TRAIN_ROUNDS)
+}
+
+/// Open the one-shard durable engine in `dir` over a [`trained_setup`]:
+/// fresh from the trained state when `fresh`, otherwise by recovery (which
+/// must never bootstrap).
+fn open_one_shard(
+    dir: &Path,
+    (graph, previous, _, dynamicc): (SimilarityGraph, Clustering, Vec<Snapshot>, DynamicC),
+    options: DurabilityOptions,
+    fresh: bool,
+) -> (ShardedDurableEngine, ShardedRecoveryReport) {
+    let config = graph.config().clone();
+    let router = ShardRouter::for_config(1, &config);
+    ShardedDurableEngine::open(dir, router, config, dynamicc, options, move || {
+        assert!(fresh, "recovery must not bootstrap");
+        (graph, previous)
+    })
+    .unwrap()
 }
 
 /// Serve every round through an uninterrupted engine, then again through a
@@ -61,25 +83,17 @@ fn check_recovery_equivalence(
     let tmp = TempDir::new(tag);
     let dir = tmp.path();
     let mut tail_at_kill = {
-        let (graph, previous, _, dynamicc) =
-            trained_setup(workload, graph_config, objective.clone());
-        let config = graph.config().clone();
-        let (engine, report) =
-            DurableEngine::open(dir, config, dynamicc, options, move || (graph, previous)).unwrap();
+        let setup = trained_setup(workload, graph_config, objective.clone());
+        let (engine, report) = open_one_shard(dir, setup, options, true);
         assert!(!report.recovered, "{tag}: first open must be fresh");
-        engine.rounds_since_checkpoint()
+        engine.shards()[0].rounds_since_checkpoint()
     };
     for (i, snapshot) in serve.iter().enumerate() {
         // Every reopen is a simulated crash recovery: a new process with the
         // same config and the same deterministically trained models.
-        let (graph, _, _, dynamicc) = trained_setup(workload, graph_config, objective.clone());
-        let config = graph.config().clone();
-        let ((mut engine, report), recovery_builds) = BuildCounter::scope(|| {
-            DurableEngine::open(dir, config, dynamicc, options, || {
-                unreachable!("recovery must not bootstrap")
-            })
-            .unwrap()
-        });
+        let setup = trained_setup(workload, graph_config, objective.clone());
+        let ((mut engine, report), recovery_builds) =
+            BuildCounter::scope(|| open_one_shard(dir, setup, options, false));
         assert!(report.recovered, "{tag}: round {i}: open must recover");
         assert_eq!(
             recovery_builds, 0,
@@ -93,15 +107,15 @@ fn check_recovery_equivalence(
 
         let round_report = engine.apply_round(&snapshot.batch).unwrap();
         assert_eq!(
-            round_report, expected_reports[i],
+            round_report.merged, expected_reports[i],
             "{tag}: round {i}: report diverged"
         );
         assert_clusterings_identical(
-            engine.clustering(),
+            &engine.merged_clustering(),
             &expected_clusterings[i],
             &format!("{tag}: round {i}"),
         );
-        tail_at_kill = engine.rounds_since_checkpoint();
+        tail_at_kill = engine.shards()[0].rounds_since_checkpoint();
         if options.checkpoint_every_rounds > 0 {
             assert!(
                 tail_at_kill < options.checkpoint_every_rounds as u64,
@@ -112,12 +126,8 @@ fn check_recovery_equivalence(
     }
 
     // Final state: one more recovery, then compare everything.
-    let (graph, _, _, dynamicc) = trained_setup(workload, graph_config, objective.clone());
-    let config = graph.config().clone();
-    let (engine, report) = DurableEngine::open(dir, config, dynamicc, options, || {
-        unreachable!("recovery must not bootstrap")
-    })
-    .unwrap();
+    let setup = trained_setup(workload, graph_config, objective);
+    let (engine, report) = open_one_shard(dir, setup, options, false);
     assert!(report.recovered);
     assert_eq!(engine.rounds_served(), serve.len());
     assert_eq!(
@@ -125,17 +135,17 @@ fn check_recovery_equivalence(
         "{tag}: final replay"
     );
     assert_clusterings_identical(
-        engine.clustering(),
+        &engine.merged_clustering(),
         uninterrupted.clustering(),
         &format!("{tag}: final"),
     );
     assert_eq!(
-        engine.stats(),
+        &engine.stats(),
         uninterrupted.stats(),
         "{tag}: DynamicCStats diverged across restarts"
     );
     assert_eq!(
-        engine.engine().graph().comparisons(),
+        engine.shard_comparisons(),
         uninterrupted.graph().comparisons(),
         "{tag}: similarity work counters diverged"
     );
@@ -192,41 +202,42 @@ fn manual_checkpoint_prunes_the_log_and_survives_recovery() {
     let objective: Arc<dyn ObjectiveFunction> = Arc::new(DbIndexObjective);
     let tmp = TempDir::new("manual-ckpt");
     let dir = tmp.path();
-
-    let (graph, previous, serve, dynamicc) =
-        trained_setup(&workload, graph_config, objective.clone());
-    let config = graph.config().clone();
     let options = DurabilityOptions {
         checkpoint_every_rounds: 0,
         group_commit: false,
     };
-    let (mut engine, _) =
-        DurableEngine::open(dir, config, dynamicc, options, move || (graph, previous)).unwrap();
+
+    let setup = trained_setup(&workload, graph_config, objective.clone());
+    let serve = setup.2.clone();
+    let (mut engine, _) = open_one_shard(dir, setup, options, true);
     for snapshot in &serve {
         engine.apply_round(&snapshot.batch).unwrap();
     }
-    assert_eq!(engine.rounds_since_checkpoint(), serve.len() as u64);
+    assert_eq!(
+        engine.shards()[0].rounds_since_checkpoint(),
+        serve.len() as u64
+    );
     let round = engine.checkpoint().unwrap();
     assert_eq!(round, serve.len() as u64);
-    assert_eq!(engine.rounds_since_checkpoint(), 0);
+    assert_eq!(engine.shards()[0].rounds_since_checkpoint(), 0);
     // Exactly one snapshot and one (fresh, empty) segment remain.
-    assert_eq!(engine.artifact_paths().unwrap().len(), 2);
-    let final_clustering = engine.clustering().clone();
-    let final_stats = *engine.stats();
+    assert_eq!(engine.shards()[0].artifact_paths().unwrap().len(), 2);
+    let final_clustering = engine.merged_clustering();
+    let final_stats = engine.stats();
     drop(engine);
 
-    let (graph, _, _, dynamicc) = trained_setup(&workload, graph_config, objective);
-    let config = graph.config().clone();
-    let (engine, report) = DurableEngine::open(dir, config, dynamicc, options, || {
-        unreachable!("recovery must not bootstrap")
-    })
-    .unwrap();
+    let setup = trained_setup(&workload, graph_config, objective);
+    let (engine, report) = open_one_shard(dir, setup, options, false);
     assert!(report.recovered);
-    assert_eq!(report.snapshot_round, serve.len() as u64);
+    assert_eq!(report.per_shard[0].snapshot_round, serve.len() as u64);
     assert_eq!(
         report.replayed_rounds, 0,
         "post-checkpoint recovery replays nothing"
     );
-    assert_clusterings_identical(engine.clustering(), &final_clustering, "manual checkpoint");
-    assert_eq!(engine.stats(), &final_stats);
+    assert_clusterings_identical(
+        &engine.merged_clustering(),
+        &final_clustering,
+        "manual checkpoint",
+    );
+    assert_eq!(engine.stats(), final_stats);
 }

@@ -394,7 +394,7 @@ impl SimilarityMeasure for CompositeMeasure {
     /// Computes the components without a cheap bound first, then the
     /// bounded ones, and stops as soon as the combination with each
     /// not-yet-computed component at its bound falls below the threshold.
-    /// With non-negative weights every step of [`CompositeMeasure::combine`]
+    /// With non-negative weights every step of `CompositeMeasure::combine`
     /// is monotone in each value (IEEE addition, multiplication by `w ≥ 0`,
     /// division by `total > 0`), so that combination bounds the exact one,
     /// and a pair that is not screened gets the exact value bit for bit.

@@ -7,7 +7,7 @@
 //! exactly the grouping the blocking layer already computes.  The
 //! [`ShardRouter`] therefore derives each record's shard from the blocking
 //! strategy's canonical routing key
-//! ([`BlockingStrategy::shard_key`](crate::BlockingStrategy::shard_key)):
+//! ([`crate::BlockingStrategy::shard_key`]):
 //! token-blocked records route by their smallest token, grid-blocked records
 //! by their grid cell, so routing and blocking agree on what "close" means.
 //!

@@ -4,7 +4,7 @@
 //! given round; together with the WAL records for later rounds it makes
 //! re-serving the checkpointed rounds unnecessary for recovery.  The [`Snapshotter`] is
 //! payload-agnostic — anything implementing
-//! [`BinCodec`](dc_types::codec::BinCodec) can be checkpointed — and `dc-core`
+//! [`dc_types::codec::BinCodec`] can be checkpointed — and `dc-core`
 //! supplies the actual engine state.
 //!
 //! ## File format (version 1)
@@ -26,7 +26,7 @@
 //!
 //! A snapshot at round `k` makes obsolete every older snapshot and every WAL
 //! segment whose records all concern rounds `<= k` (segments with
-//! `start < k`; see the [`wal`](crate::wal) module docs for the naming
+//! `start < k`; see the [`crate::wal`] module docs for the naming
 //! invariant).  Pruning runs strictly *after* the new snapshot is durable,
 //! so a crash mid-prune only leaves extra files that the next checkpoint
 //! removes.

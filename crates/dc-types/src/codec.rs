@@ -6,7 +6,7 @@
 //! order:
 //!
 //! 1. **Bit-exactness** — floating-point values round-trip through
-//!    [`f64::to_bits`], so a decoded [`Clustering`] / graph state is
+//!    [`f64::to_bits`], so a decoded [`crate::Clustering`] / graph state is
 //!    *bit-identical* to the encoded one.  This is what lets a recovered
 //!    engine reproduce the exact decisions of a never-restarted one.
 //! 2. **Corruption detection** — every durable artifact frames the encoded
