@@ -47,12 +47,12 @@
 //!    to the min-committed round is bit-identical to a never-restarted run.
 //!    A durable single engine is the one-shard case.
 //! 7. **Cross-shard refinement** ([`refine`]).  After the parallel per-shard
-//!    rounds, a deterministic boundary pass recovers the cross-shard
-//!    similarity edges the partition dropped and repairs the merged
+//!    rounds, a deterministic pass recovers the cross-shard similarity
+//!    edges the partition dropped and repairs the merged
 //!    clustering by running the trained merge/split passes — making
 //!    multi-shard serving quality-equivalent to the unsharded engine instead
 //!    of silently lossy.  Repair is **incremental**: the refiner maintains
-//!    the global mirror, boundary index, and aggregates across rounds,
+//!    the global mirror, its owner map, and aggregates across rounds,
 //!    computes each shard pair's cross edges once per pair lifetime, and
 //!    restricts the merge/split fixed point to the dirty closure of the
 //!    round's changes, partitioned into connected repair regions.  For

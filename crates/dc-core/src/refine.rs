@@ -6,18 +6,21 @@
 //! the merged clustering silently under-merges exactly where blocking says
 //! two records could be duplicates.  This module recovers that loss:
 //!
-//! 1. **Boundary pair exchange.**  A [`BoundaryIndex`] over each record's
-//!    *full* block-key set finds the cross-shard candidate pairs the
-//!    per-shard graphs cannot see.  Their similarities are computed once,
-//!    counted in the sharded engine's global comparison counter, cached, and
-//!    maintained incrementally as rounds add, update, and remove records —
-//!    turning the old `cross_shard_edges_dropped` loss into the exact
+//! 1. **Cross-shard edge recovery.**  The refiner's *mirror* graph holds
+//!    every live record and indexes it in its own blocking strategy, so its
+//!    candidate query ([`SimilarityGraph::candidate_ids`]) is exactly the
+//!    candidate relation an unsharded graph compares — including the pairs
+//!    whose records route to different shards, which the per-shard graphs
+//!    cannot see.  Each such pair's similarity is computed once, counted in
+//!    the sharded engine's global comparison counter, and installed into the
+//!    mirror; an owner map (object → shard) says which mirror edges cross
+//!    shards, turning the old `cross_shard_edges_dropped` loss into the exact
 //!    recovered-edge metric (`CrossShardRefiner::cross_edges_recovered`).
 //! 2. **Global merge repair.**  The refiner owns a *global serving view*
 //!    maintained across rounds, exactly shaped like the unsharded
 //!    [`Engine`]'s state:
 //!
-//!    * a **mirror** — a global union [`SimilarityGraph`] seeded verbatim
+//!    * the **mirror** — a global union [`SimilarityGraph`] seeded verbatim
 //!      from the per-shard graphs' records and edges plus the recovered
 //!      cross-shard edges, then maintained by the round fold, which
 //!      computes each touched pair against the mirror's own records (the
@@ -55,8 +58,9 @@
 //! never-restarted runs produce bit-identical refined clusterings and
 //! per-round [`RefineReport`]s.  (The cumulative cross-comparison work
 //! counter (`CrossShardRefiner::cross_comparisons`) is the one
-//! process-scoped quantity: replayed rounds recompute their boundary pairs,
-//! which *is* the work the restarted process performed.)
+//! process-scoped quantity: replayed rounds recompute their cross pairs,
+//! which *is* the work the restarted process performed, while restoring the
+//! snapshot itself computes no similarity and counts nothing.)
 
 use crate::config::DynamicCStats;
 use crate::dirty::{repair_regions, PassScope};
@@ -67,9 +71,7 @@ use crate::shard::{parallel_map, ShardConfigError};
 use crate::split::{split_pass, split_pass_scoped};
 use dc_evolution::{merge_features, split_features};
 use dc_similarity::persist::{AggregatesState, GraphState};
-use dc_similarity::{
-    BoundaryIndex, ClusterAggregates, EdgeCheck, ScreenTally, ShardRouter, SimilarityGraph,
-};
+use dc_similarity::{ClusterAggregates, EdgeCheck, ScreenTally, SimilarityGraph};
 use dc_types::codec::{BinCodec, ByteReader, ByteWriter, CodecError};
 use dc_types::{
     shard_id_base, ClusterId, Clustering, ObjectId, Operation, OperationBatch, MAX_SHARDS,
@@ -79,9 +81,9 @@ use std::collections::{BTreeMap, BTreeSet};
 /// What one cross-shard refinement pass did.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RefineReport {
-    /// Cross-shard candidate-pair similarities computed by this pass (new or
-    /// re-keyed boundary pairs; 0 in steady state when no touched record has
-    /// cross-shard block collisions).
+    /// Cross-shard candidate-pair similarities computed by this pass (the
+    /// pairs of each added or updated record with mirror candidates another
+    /// shard owns; 0 when no touched record has such a candidate).
     pub boundary_pairs_computed: usize,
     /// Cross-shard edges (similarity at or above the graph threshold)
     /// currently recovered into the refined view — the exact count of edges
@@ -136,15 +138,17 @@ impl PartialEq for RefineReport {
 
 /// The cross-shard refinement subsystem of a sharded engine (N > 1 only).
 ///
-/// Owns the boundary index, the recovered cross-edge cache, the global
-/// mirror graph, and the refined clustering with its maintained aggregates.
-/// The boundary/cross/mirror layers are pure derived state (rebuildable from
-/// the per-shard graphs); the refined clustering and its aggregates are
-/// history-bearing state that the durable engine snapshots and replays.
+/// Owns the record-to-shard owner map, the global mirror graph, and the
+/// refined clustering with its maintained aggregates.  The owner map and the
+/// mirror are pure derived state (rebuildable from the per-shard graphs); the
+/// refined clustering and its aggregates are history-bearing state that the
+/// durable engine snapshots and replays.
 pub(crate) struct CrossShardRefiner {
-    boundary: BoundaryIndex,
-    /// Symmetric adjacency of recovered cross-shard edges (≥ threshold).
-    cross: BTreeMap<ObjectId, BTreeMap<ObjectId, f64>>,
+    /// The shard that owns each live record (the sticky assignment).  A
+    /// mirror edge is a recovered cross-shard edge exactly when its
+    /// endpoints' owners differ.
+    owner: BTreeMap<ObjectId, usize>,
+    /// Number of mirror edges whose endpoints have different owners.
     cross_edge_count: usize,
     cross_comparisons: u64,
     /// Global union graph: per-shard records and edges, plus the recovered
@@ -198,10 +202,10 @@ pub(crate) fn validate_shard_configs(shards: &[&Engine]) -> Result<(), ShardConf
 
 impl CrossShardRefiner {
     /// Build the refiner from the current per-shard engines: mirror every
-    /// record and intra-shard edge, index every record's block keys, compute
-    /// the similarity of every cross-shard candidate pair, and run the
-    /// initial repair that seeds the refined view.  `assignment` is the
-    /// object-to-shard map the sharded engine maintains.
+    /// record and intra-shard edge, compute the similarity of every
+    /// cross-shard candidate pair, and run the initial repair that seeds the
+    /// refined view.  `assignment` is the object-to-shard map the sharded
+    /// engine maintains.
     ///
     /// Validates at construction that every shard carries an identical
     /// [`crate::DynamicCConfig`]: the refiner reads its pass configuration
@@ -209,13 +213,12 @@ impl CrossShardRefiner {
     /// a divergent shard would be silently ignored — surfaced here as
     /// [`ShardConfigError::MismatchedDynamicCConfig`] instead.
     pub(crate) fn build(
-        router: &ShardRouter,
         shards: &[&Engine],
         assignment: &BTreeMap<ObjectId, usize>,
         max_threads: usize,
     ) -> Result<Self, ShardConfigError> {
         validate_shard_configs(shards)?;
-        let mut refiner = Self::derived_state(router, shards, assignment)?;
+        let mut refiner = Self::derived_state(shards, assignment)?;
 
         // Seed the refined view: merged per-shard clusterings, the union of
         // the per-shard aggregates with the recovered cross edges injected,
@@ -223,22 +226,21 @@ impl CrossShardRefiner {
         let mut refined = crate::shard::merge_clusterings(shards.iter().map(|s| s.clustering()));
         refined.set_id_watermark(refine_id_base());
         let mut agg = ClusterAggregates::union(shards.iter().map(|s| s.aggregates()));
-        for (&a, nbrs) in &refiner.cross {
-            for (&b, &sim) in nbrs {
-                if b > a {
-                    // A recovered cross edge between objects the merged
-                    // per-shard clusterings do not cover means the shard
-                    // graphs and clusterings disagree — a typed error, not a
-                    // panic (the historical code `expect`ed it).
-                    let ca = refined
-                        .cluster_of(a)
-                        .ok_or(ShardConfigError::UnclusteredObject { id: a })?;
-                    let cb = refined
-                        .cluster_of(b)
-                        .ok_or(ShardConfigError::UnclusteredObject { id: b })?;
-                    agg.add_inter_edge(ca, cb, sim);
-                }
+        for (a, b, sim) in refiner.mirror.edges() {
+            if !refiner.is_cross(a, b) {
+                continue;
             }
+            // A recovered cross edge between objects the merged per-shard
+            // clusterings do not cover means the shard graphs and
+            // clusterings disagree — a typed error, not a panic (the
+            // historical code `expect`ed it).
+            let ca = refined
+                .cluster_of(a)
+                .ok_or(ShardConfigError::UnclusteredObject { id: a })?;
+            let cb = refined
+                .cluster_of(b)
+                .ok_or(ShardConfigError::UnclusteredObject { id: b })?;
+            agg.add_inter_edge(ca, cb, sim);
         }
         refiner.refined = refined;
         refiner.agg = agg;
@@ -250,12 +252,11 @@ impl CrossShardRefiner {
         Ok(refiner)
     }
 
-    /// The derived (rebuildable) layers only: boundary index, cross-edge
-    /// cache, and mirror.  The refined clustering and aggregates are left
+    /// The derived (rebuildable) layers only: owner map and mirror, cross
+    /// edges included.  The refined clustering and aggregates are left
     /// empty — [`CrossShardRefiner::build`] seeds them with the initial
     /// repair and the durable engine restores them from a snapshot.
     fn derived_state(
-        router: &ShardRouter,
         shards: &[&Engine],
         assignment: &BTreeMap<ObjectId, usize>,
     ) -> Result<Self, ShardConfigError> {
@@ -266,8 +267,7 @@ impl CrossShardRefiner {
             .config()
             .clone();
         let mut refiner = CrossShardRefiner {
-            boundary: router.boundary_index(),
-            cross: BTreeMap::new(),
+            owner: assignment.clone(),
             cross_edge_count: 0,
             cross_comparisons: 0,
             mirror: SimilarityGraph::empty(config),
@@ -279,6 +279,10 @@ impl CrossShardRefiner {
             last_report: RefineReport::default(),
         };
 
+        // Every cross-shard candidate pair, each computed exactly once: like
+        // `SimilarityGraph::add_object`, a record is paired with the
+        // candidates indexed before it.
+        let mut pairs: Vec<(ObjectId, ObjectId)> = Vec::new();
         for (&id, &shard) in assignment {
             // An assignment naming an object its shard's graph does not hold
             // is an inconsistent input pair (the historical code panicked).
@@ -286,20 +290,16 @@ impl CrossShardRefiner {
                 .graph()
                 .record(id)
                 .ok_or(ShardConfigError::AssignedObjectMissing { id, shard })?;
+            for cand in refiner.mirror.candidate_ids(record) {
+                if refiner.is_cross(cand, id) {
+                    pairs.push((cand, id));
+                }
+            }
             refiner.mirror.install_record(id, record.clone());
-            refiner.boundary.insert(id, shard, record);
         }
         for shard in shards {
             for (a, b, sim) in shard.graph().edges() {
                 refiner.mirror.install_edge(a, b, sim);
-            }
-        }
-
-        // Every cross-shard candidate pair, each computed exactly once.
-        let mut pairs: BTreeSet<(ObjectId, ObjectId)> = BTreeSet::new();
-        for &id in assignment.keys() {
-            for cand in refiner.boundary.cross_shard_candidates(id) {
-                pairs.insert((id.min(cand), id.max(cand)));
             }
         }
         let mut tally = ScreenTally::default();
@@ -311,7 +311,7 @@ impl CrossShardRefiner {
     }
 
     /// Cumulative cross-shard similarity computations performed by this
-    /// process (the boundary-pass share of the sharded engine's global
+    /// process (the cross-pair share of the sharded engine's global
     /// comparison counter).
     pub(crate) fn cross_comparisons(&self) -> u64 {
         self.cross_comparisons
@@ -332,7 +332,13 @@ impl CrossShardRefiner {
     /// The object-to-shard ownership the refiner currently tracks (the
     /// sticky assignment durable replay re-routes batches from).
     pub(crate) fn shard_map(&self) -> BTreeMap<ObjectId, usize> {
-        self.boundary.shard_map()
+        self.owner.clone()
+    }
+
+    /// Whether `a` and `b` are both live and owned by different shards —
+    /// i.e. whether an edge between them is one the per-shard graphs miss.
+    fn is_cross(&self, a: ObjectId, b: ObjectId) -> bool {
+        matches!((self.owner.get(&a), self.owner.get(&b)), (Some(x), Some(y)) if x != y)
     }
 
     /// The report of the most recent refinement pass (the initial repair
@@ -344,10 +350,10 @@ impl CrossShardRefiner {
     /// Compute the similarity of one cross-shard candidate pair and recover
     /// the edge if it reaches the graph threshold.
     ///
-    /// Candidate pairs come from the boundary index, which is maintained in
-    /// lock-step with the mirror; a candidate the mirror no longer holds is
-    /// an internal inconsistency surfaced as a typed error (the historical
-    /// code `expect`ed "live record" here).
+    /// Candidate pairs come from the mirror's own blocking index; a
+    /// candidate the mirror does not hold is an internal inconsistency
+    /// surfaced as a typed error (the historical code `expect`ed "live
+    /// record" here).
     fn compute_cross_pair(
         &mut self,
         a: ObjectId,
@@ -365,35 +371,28 @@ impl CrossShardRefiner {
         let check = self.mirror.check_edge(pa, pb);
         self.cross_comparisons += 1;
         if let Some(sim) = tally.edge(check, self.mirror.edge_threshold()) {
-            self.cross.entry(a).or_default().insert(b, sim);
-            self.cross.entry(b).or_default().insert(a, sim);
             self.cross_edge_count += 1;
             self.mirror.install_edge(a, b, sim);
         }
         Ok(())
     }
 
-    /// Drop a record from the boundary index, the cross-edge cache, and the
-    /// mirror.
+    /// Drop a record from the owner map and the mirror, uncounting its
+    /// cross-shard edges.
     fn detach(&mut self, id: ObjectId) {
-        self.boundary.remove(id);
-        if let Some(nbrs) = self.cross.remove(&id) {
-            self.cross_edge_count -= nbrs.len();
-            for n in nbrs.keys() {
-                if let Some(m) = self.cross.get_mut(n) {
-                    m.remove(&id);
-                    if m.is_empty() {
-                        self.cross.remove(n);
-                    }
-                }
-            }
-        }
+        let lost = self
+            .mirror
+            .neighbors(id)
+            .filter(|&(n, _)| self.is_cross(id, n))
+            .count();
+        self.cross_edge_count -= lost;
+        self.owner.remove(&id);
         self.mirror.remove_object(id);
     }
 
-    /// (Re-)install one record into the derived layers: mirror record and
-    /// blocking keys, edges to every mirror candidate, and the cross-edge
-    /// cache.
+    /// (Re-)install one record into the derived layers: its owner, its
+    /// mirror record, and edges to every mirror candidate, counting the ones
+    /// that cross shards.
     ///
     /// Every candidate pair is computed against the mirror's *current*
     /// records, which is exactly what the unsharded engine computed at this
@@ -406,7 +405,7 @@ impl CrossShardRefiner {
     /// The pairs are computed on the scoped pool: the measure is a pure
     /// function of the two records and the serial install below walks the
     /// candidates in their original (sorted) order, so the mirror, the cross
-    /// cache, and the comparison counters come out bit-identical at every
+    /// edge count, and the comparison counters come out bit-identical at every
     /// thread count.  Without this, the refiner's fold would serialize the
     /// one per-op cost that actually grows with the workload and cap the
     /// sharded engine's refined-mode speedup.
@@ -421,17 +420,12 @@ impl CrossShardRefiner {
         // `SimilarityGraph::add_object` (the unsharded order).
         let candidates = self.mirror.candidate_ids(record);
         self.mirror.install_record(id, record.clone());
-        let mut plan = Vec::with_capacity(candidates.len());
-        for n in candidates {
-            if n == id || !self.mirror.contains(n) {
-                continue;
-            }
-            let n_shard = self
-                .boundary
-                .shard_of(n)
-                .expect("mirror and boundary track the same records");
-            plan.push((n, n_shard != shard));
-        }
+        self.owner.insert(id, shard);
+        let plan: Vec<(ObjectId, bool)> = candidates
+            .into_iter()
+            .filter(|&n| n != id && self.mirror.contains(n))
+            .map(|n| (n, self.is_cross(id, n)))
+            .collect();
 
         // Both sides are read from the mirror, profiles included; a side it
         // does not hold has similarity 0.
@@ -452,15 +446,12 @@ impl CrossShardRefiner {
             }
             if let Some(sim) = tally.edge(check, threshold) {
                 if cross {
-                    self.cross.entry(id).or_default().insert(n, sim);
-                    self.cross.entry(n).or_default().insert(id, sim);
                     self.cross_edge_count += 1;
                 }
                 self.mirror.install_edge(id, n, sim);
             }
         }
         tally.record();
-        self.boundary.insert(id, shard, record);
     }
 
     /// Switch between the incremental dirty-region repair (the default) and
@@ -809,7 +800,7 @@ impl CrossShardRefiner {
             mirror: self.mirror.export_state(),
             refined: self.refined.clone(),
             aggregates: self.agg.export_state(),
-            assignment: self.boundary.shard_map(),
+            assignment: self.owner.clone(),
             converged: self.converged,
             merge_floors: merge_floors.clone(),
             split_ceils: split_ceils.clone(),
@@ -827,25 +818,25 @@ impl CrossShardRefiner {
     }
 
     /// Reassemble a refiner from a durable snapshot: the mirror, refined
-    /// clustering, and aggregates are restored bit-exactly, and the boundary
-    /// index and cross-edge cache are re-derived from the restored mirror.
-    /// Cross-pair similarities are *looked up* in the mirror (whose edge
-    /// weights are exact); only the counting is process-scoped — see the
-    /// module docs.  `graph_config` is the same construction-time input the
-    /// durable engine already threads to every shard, and
-    /// `state.assignment` records each restored record's owning shard (the
-    /// sticky routing history replays are re-routed from).
+    /// clustering, and aggregates are restored bit-exactly, and the cross
+    /// edge count is re-derived from the restored mirror's edges — no
+    /// similarity is computed or counted.  `graph_config` is the same
+    /// construction-time input the durable engine already threads to every
+    /// shard, and `state.assignment` records each restored record's owning
+    /// shard (the sticky routing history replays are re-routed from).
     pub(crate) fn import_state(
-        router: &ShardRouter,
         graph_config: dc_similarity::GraphConfig,
         state: RefineState,
     ) -> Result<Self, CodecError> {
         let mirror = SimilarityGraph::import_state(graph_config, state.mirror)?;
         let agg = ClusterAggregates::import_state(state.aggregates)?;
-        let assignment = state.assignment;
+        if !state.assignment.keys().copied().eq(mirror.object_ids()) {
+            return Err(CodecError::Invalid(
+                "restored assignment and mirror hold different objects".into(),
+            ));
+        }
         let mut refiner = CrossShardRefiner {
-            boundary: router.boundary_index(),
-            cross: BTreeMap::new(),
+            owner: state.assignment,
             cross_edge_count: 0,
             cross_comparisons: 0,
             mirror,
@@ -856,50 +847,11 @@ impl CrossShardRefiner {
             full_repair: false,
             last_report: RefineReport::default(),
         };
-        // Re-derive the boundary index and the cross-edge cache from the
-        // restored mirror.  Cross-pair similarities are *looked up* in the
-        // mirror (whose edge weights are bit-exact), not recomputed — only
-        // sub-threshold pairs (which the mirror does not store) cost a fresh
-        // computation.
-        for id in refiner.mirror.object_ids() {
-            let shard = assignment.get(&id).copied().ok_or_else(|| {
-                CodecError::Invalid(format!("restored mirror object {id} is owned by no shard"))
-            })?;
-            // A corrupt snapshot (or a WAL round referencing a record
-            // deleted in the same batch and mis-merged by hand) can name an
-            // id the mirror holds no record for — surface that as a typed
-            // error instead of panicking mid-recovery.
-            let record = refiner
-                .mirror
-                .record(id)
-                .ok_or_else(|| {
-                    CodecError::Invalid(format!(
-                        "restored mirror names object {id} but holds no record for it"
-                    ))
-                })?
-                .clone();
-            refiner.boundary.insert(id, shard, &record);
-        }
-        if assignment.len() != refiner.mirror.object_count() {
-            return Err(CodecError::Invalid(
-                "restored assignment names objects absent from the mirror".into(),
-            ));
-        }
-        let mut pairs: BTreeSet<(ObjectId, ObjectId)> = BTreeSet::new();
-        for id in refiner.mirror.object_ids() {
-            for cand in refiner.boundary.cross_shard_candidates(id) {
-                pairs.insert((id.min(cand), id.max(cand)));
-            }
-        }
-        for (a, b) in pairs {
-            let sim = refiner.mirror.similarity(a, b);
-            refiner.cross_comparisons += 1;
-            if sim > 0.0 {
-                refiner.cross.entry(a).or_default().insert(b, sim);
-                refiner.cross.entry(b).or_default().insert(a, sim);
-                refiner.cross_edge_count += 1;
-            }
-        }
+        refiner.cross_edge_count = refiner
+            .mirror
+            .edges()
+            .filter(|&(a, b, _)| refiner.is_cross(a, b))
+            .count();
         Ok(refiner)
     }
 }
@@ -1020,10 +972,10 @@ impl BinCodec for RefineSnapshotRef<'_> {
         r.mirror.encode_state_into(w);
         r.refined.encode(w);
         r.agg.export_state().encode(w);
-        w.put_usize(r.boundary.record_count());
-        for (id, shard) in r.boundary.assignments() {
+        w.put_usize(r.owner.len());
+        for (id, shard) in &r.owner {
             id.encode(w);
-            w.put_usize(shard);
+            w.put_usize(*shard);
         }
         w.put_bool(r.converged);
         let (merge_floors, split_ceils) = r.scope.rejection_intervals();

@@ -133,9 +133,9 @@ pub enum ShardConfigError {
         /// The shard the assignment claims owns it.
         shard: usize,
     },
-    /// The refiner's boundary index produced a cross-shard candidate whose
-    /// record is missing from the mirror graph — an internal inconsistency
-    /// between the two derived layers.
+    /// The mirror graph's blocking index proposed a cross-shard candidate
+    /// whose record the mirror does not hold — an internal inconsistency
+    /// between the mirror's index and its records.
     MirrorRecordMissing {
         /// The candidate object absent from the mirror.
         id: ObjectId,
@@ -184,8 +184,8 @@ impl std::fmt::Display for ShardConfigError {
             ShardConfigError::MirrorRecordMissing { id } => write!(
                 f,
                 "cross-shard candidate {id} is missing from the refiner's \
-                 mirror graph (the boundary index and the mirror are out of \
-                 sync)"
+                 mirror graph (the mirror's blocking index and its records \
+                 are out of sync)"
             ),
         }
     }
@@ -822,8 +822,8 @@ impl Sharded<Engine> {
     /// router's shards and stand up one engine per shard.  Performs one full
     /// aggregate build per shard — the same one-off cost `Engine::new` pays,
     /// split N ways — and, with more than one shard, builds the cross-shard
-    /// refinement state (boundary index, recovered cross edges, mirror
-    /// graph) and runs the initial repair pass.
+    /// refinement state (owner map and mirror graph, recovered cross edges
+    /// included) and runs the initial repair pass.
     ///
     /// The clustering's id watermark must fit the shard-0 namespace (ids
     /// below `1 << 56`) when partitioning across more than one shard —
@@ -850,7 +850,7 @@ impl Sharded<Engine> {
             .collect();
         let engines: Vec<&Engine> = shards.iter().collect();
         let refiner = (n > 1)
-            .then(|| CrossShardRefiner::build(&router, &engines, &partition.assignment, n))
+            .then(|| CrossShardRefiner::build(&engines, &partition.assignment, n))
             .transpose()?;
         Ok(Sharded {
             shards,
@@ -1202,7 +1202,7 @@ impl Sharded<DurableEngine> {
         let committed = report.committed_round;
         if !report.recovered {
             let engines: Vec<&Engine> = shards.iter().map(DurableEngine::engine).collect();
-            let refiner = CrossShardRefiner::build(router, &engines, assignment, router.n_shards())
+            let refiner = CrossShardRefiner::build(&engines, assignment, router.n_shards())
                 .map_err(|e| StorageError::Inconsistent(e.to_string()))?;
             snapshotter.write(0, &refiner.snapshot_ref())?;
             let wal = Wal::create(&refine_root, 0)?;
@@ -1221,10 +1221,13 @@ impl Sharded<DurableEngine> {
                  round {committed}"
             )));
         }
-        let mut refiner = CrossShardRefiner::import_state(router, graph_config.clone(), state)
-            .map_err(|source| StorageError::Codec {
-                path: refine_root.join(dc_storage::snapshot::snapshot_file_name(snapshot_round)),
-                source,
+        let mut refiner =
+            CrossShardRefiner::import_state(graph_config.clone(), state).map_err(|source| {
+                StorageError::Codec {
+                    path: refine_root
+                        .join(dc_storage::snapshot::snapshot_file_name(snapshot_round)),
+                    source,
+                }
             })?;
 
         // Replay the refine WAL tail: re-route each logged batch from the
@@ -1710,8 +1713,7 @@ mod tests {
         );
         let e0 = Engine::new(g0, c0, d0);
         let e1 = Engine::new(g1, c1, divergent);
-        let router = ShardRouter::new(2, Box::new(ExhaustiveBlocking::new()));
-        let err = CrossShardRefiner::build(&router, &[&e0, &e1], &BTreeMap::new(), 2).unwrap_err();
+        let err = CrossShardRefiner::build(&[&e0, &e1], &BTreeMap::new(), 2).unwrap_err();
         assert_eq!(err, ShardConfigError::MismatchedDynamicCConfig { shard: 1 });
         assert!(err.to_string().contains("shard 1"), "got: {err}");
     }
@@ -1725,9 +1727,8 @@ mod tests {
         let (g1, c1, d1) = toy_setup();
         let e0 = Engine::new(g0, c0, d0);
         let e1 = Engine::new(g1, c1, d1);
-        let router = ShardRouter::new(2, Box::new(ExhaustiveBlocking::new()));
         let assignment: BTreeMap<ObjectId, usize> = [(oid(99), 0usize)].into_iter().collect();
-        let err = CrossShardRefiner::build(&router, &[&e0, &e1], &assignment, 2).unwrap_err();
+        let err = CrossShardRefiner::build(&[&e0, &e1], &assignment, 2).unwrap_err();
         assert_eq!(
             err,
             ShardConfigError::AssignedObjectMissing {
@@ -1767,10 +1768,9 @@ mod tests {
             Clustering::from_groups([vec![oid(2)]]).unwrap(),
             dynamicc,
         );
-        let router = ShardRouter::new(2, Box::new(ExhaustiveBlocking::new()));
         let assignment: BTreeMap<ObjectId, usize> =
             [(oid(1), 0usize), (oid(2), 1usize)].into_iter().collect();
-        let err = CrossShardRefiner::build(&router, &[&e0, &e1], &assignment, 2).unwrap_err();
+        let err = CrossShardRefiner::build(&[&e0, &e1], &assignment, 2).unwrap_err();
         assert_eq!(err, ShardConfigError::UnclusteredObject { id: oid(1) });
         assert!(err.to_string().contains("cluster"), "got: {err}");
     }

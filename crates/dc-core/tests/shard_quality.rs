@@ -13,6 +13,9 @@
 //!
 //! * post-refinement: the pair sets are **bit-equal** (zero pairs on either
 //!   side of the disagreement counts — stronger than F1 within 1e-9);
+//! * the recovered cross-shard edge count equals the number of unsharded
+//!   graph edges whose endpoints the sharded engine places in different
+//!   shards;
 //! * pre-refinement: the merged clustering's recall against the unsharded
 //!   engine never exceeds the refined one's (refinement only closes the
 //!   gap), and across the whole workload the partition demonstrably *had* a
@@ -76,6 +79,27 @@ fn check_refinement_closes_the_gap(
             post.f1()
         );
         assert!((post.f1() - 1.0).abs() < 1e-9, "{context}");
+
+        // The recovered cross edges are exactly the unsharded graph's edges
+        // whose endpoints the sharded engine places in different shards.
+        let expected_cross = unsharded
+            .graph()
+            .edges()
+            .filter(|&(a, b, _)| sharded.shard_of(a) != sharded.shard_of(b))
+            .count();
+        assert_eq!(
+            sharded.cross_shard_edges_recovered(),
+            expected_cross,
+            "{context}: recovered cross-shard edge count"
+        );
+        assert_eq!(
+            sharded
+                .last_refine_report()
+                .expect("refined at N > 1")
+                .cross_edges_recovered,
+            expected_cross,
+            "{context}: refine report's cross-shard edge count"
+        );
 
         let pre = pair_counts(&sharded.merged_clustering(), reference);
         assert!(

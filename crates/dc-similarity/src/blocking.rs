@@ -49,46 +49,16 @@ pub trait BlockingStrategy: Send + Sync + CloneBlocking {
     /// [`GridBlocking`]), so records that routing separates would mostly not
     /// have shared a block anyway — routing and blocking agree.
     ///
+    /// Records that share a block but not a routing key still land in
+    /// different shards.  Cross-shard refinement recovers those pairs with
+    /// [`BlockingStrategy::candidates`] over a graph of every live record,
+    /// so this single key is all the key material a strategy exposes.
+    ///
     /// Must not depend on the strategy's mutable index state: the same
     /// record yields the same key no matter what has been indexed, unindexed
     /// or reset before the call.
     fn shard_key(&self, record: &Record) -> u64 {
         crate::router::content_shard_key(record)
-    }
-
-    /// The record's **full** hashed block-key set: one `u64` per block the
-    /// strategy would index the record under, sorted and deduplicated.
-    ///
-    /// Where [`BlockingStrategy::shard_key`] is the single canonical routing
-    /// key, this is the complete key material — the
-    /// [`BoundaryIndex`](crate::BoundaryIndex) uses it to find records whose
-    /// blocks collide *across* shards (records that sharding routed apart
-    /// even though blocking would have compared them).  Like `shard_key` it
-    /// must be a pure, total function of the record's content, independent
-    /// of the strategy's mutable index state.  Query-time restrictions that
-    /// depend on index state (e.g. [`TokenBlocking`]'s stop-word cutoff) are
-    /// deliberately ignored: the key set is a conservative superset of the
-    /// blocks the live index would consult.
-    ///
-    /// The default is the canonical shard key alone, which is exact for
-    /// strategies whose blocks are a pure function of that one key.
-    /// Strategies with a different block structure must override it —
-    /// [`ExhaustiveBlocking`] puts every record into one universal block,
-    /// [`TokenBlocking`] has one block per token.
-    fn block_keys(&self, record: &Record) -> Vec<u64> {
-        vec![self.shard_key(record)]
-    }
-
-    /// The hashed keys the strategy would *probe* when generating candidates
-    /// for `record` — a superset of [`BlockingStrategy::block_keys`] for
-    /// strategies whose candidate generation looks beyond the record's own
-    /// blocks ([`GridBlocking`] probes all neighbouring cells).  Two records
-    /// are candidate pairs exactly when one's probe keys intersect the
-    /// other's block keys; for every built-in strategy that relation is
-    /// symmetric, which is what lets the boundary index look the pair up
-    /// from either side.
-    fn probe_keys(&self, record: &Record) -> Vec<u64> {
-        self.block_keys(record)
     }
 
     /// Human-readable name.
@@ -180,23 +150,6 @@ impl BlockingStrategy for TokenBlocking {
         }
     }
 
-    fn block_keys(&self, record: &Record) -> Vec<u64> {
-        // One key per token; token-less records fall into the single "empty"
-        // block, mirroring `shard_key`.  The stop-word cutoff is ignored —
-        // see the trait docs.
-        let keys = Self::keys(record);
-        let mut out: Vec<u64> = if keys.is_empty() {
-            vec![crate::router::fnv1a(b"")]
-        } else {
-            keys.iter()
-                .map(|t| crate::router::fnv1a(t.as_bytes()))
-                .collect()
-        };
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     fn name(&self) -> &'static str {
         "token-blocking"
     }
@@ -259,17 +212,6 @@ impl GridBlocking {
     pub fn cell_count(&self) -> usize {
         self.cells.len()
     }
-
-    /// The canonical hash of one cell — the single encoding shared by
-    /// [`BlockingStrategy::shard_key`], `block_keys`, and `probe_keys`, so
-    /// routing, indexing, and boundary probing can never drift apart.
-    fn hash_cell(cell: &[i64]) -> u64 {
-        let mut bytes = Vec::with_capacity(cell.len() * 8);
-        for coord in cell {
-            bytes.extend_from_slice(&coord.to_le_bytes());
-        }
-        crate::router::fnv1a(&bytes)
-    }
 }
 
 impl BlockingStrategy for GridBlocking {
@@ -304,27 +246,11 @@ impl BlockingStrategy for GridBlocking {
     }
 
     fn shard_key(&self, record: &Record) -> u64 {
-        Self::hash_cell(&self.cell_of(record))
-    }
-
-    fn block_keys(&self, record: &Record) -> Vec<u64> {
-        // A record is indexed under exactly its own cell.
-        vec![self.shard_key(record)]
-    }
-
-    fn probe_keys(&self, record: &Record) -> Vec<u64> {
-        // Candidate generation looks at the record's own cell and every
-        // neighbouring cell; hashing all of them makes the probe/block
-        // collision relation match `candidates` exactly (and it is symmetric,
-        // because cell adjacency is).
-        let cell = self.cell_of(record);
-        let mut out: Vec<u64> = Self::neighbour_cells(&cell)
-            .into_iter()
-            .map(|neighbour| Self::hash_cell(&neighbour))
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
+        let mut bytes = Vec::new();
+        for coord in self.cell_of(record) {
+            bytes.extend_from_slice(&coord.to_le_bytes());
+        }
+        crate::router::fnv1a(&bytes)
     }
 
     fn name(&self) -> &'static str {
@@ -361,14 +287,6 @@ impl BlockingStrategy for ExhaustiveBlocking {
 
     fn candidates(&self, _record: &Record) -> BTreeSet<ObjectId> {
         self.all.clone()
-    }
-
-    fn block_keys(&self, _record: &Record) -> Vec<u64> {
-        // Every record lives in the single universal block, so every pair of
-        // records collides — exactly the exhaustive candidate semantics.
-        // (The *routing* key stays the content hash so records still spread
-        // across shards.)
-        vec![0]
     }
 
     fn name(&self) -> &'static str {

@@ -29,16 +29,15 @@
 //! * [`router`] — the deterministic [`ShardRouter`] mapping records to
 //!   shards via the blocking layer's canonical routing keys, so sharded
 //!   serving partitions the objects the same way blocking groups them.
-//! * [`boundary`] — the [`BoundaryIndex`] over each record's *full* block-key
-//!   set, answering which cross-shard candidate pairs the per-shard graphs
-//!   cannot see; the substrate of the cross-shard refinement pass.
+//!   Cross-shard candidate pairs need no index of their own: a graph holding
+//!   every live record (the refiner's mirror) finds them through its own
+//!   blocking strategy ([`SimilarityGraph::candidate_ids`]).
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod aggregates;
 pub mod blocking;
-pub mod boundary;
 pub mod fixtures;
 pub mod graph;
 pub mod measures;
@@ -52,7 +51,6 @@ pub use aggregates::{
     FULL_BUILDS_COUNTER,
 };
 pub use blocking::{BlockingStrategy, GridBlocking, TokenBlocking};
-pub use boundary::BoundaryIndex;
 pub use graph::{GraphConfig, SimilarityGraph};
 pub use measures::{
     CompositeMeasure, EdgeCheck, EuclideanSimilarity, JaccardSimilarity, NormalizedLevenshtein,

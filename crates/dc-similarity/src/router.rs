@@ -17,7 +17,7 @@
 //! * **stable** — the router holds no mutable state, so the same record
 //!   routes to the same shard on every call, regardless of what was added,
 //!   updated, or removed before;
-//! * **sticky per object** — [`ShardRouter::split_batch`] keeps every
+//! * **sticky per object** — [`ShardRouter::route_batch`] keeps every
 //!   operation on a live object in the shard that owns the object, so an
 //!   object lives in exactly one shard at all times and sub-batches are a
 //!   permutation-free partition of the input batch.
@@ -26,7 +26,6 @@
 //! what makes a one-shard sharded engine bit-identical to an unsharded one.
 
 use crate::blocking::BlockingStrategy;
-use crate::boundary::BoundaryIndex;
 use crate::graph::GraphConfig;
 use dc_types::{ObjectId, Operation, OperationBatch, Record, MAX_SHARDS};
 use std::collections::BTreeMap;
@@ -126,19 +125,12 @@ impl ShardRouter {
     /// sub-batches preserve the input order, so the sub-batches form a
     /// permutation-free partition of the input.  With one shard, sub-batch 0
     /// *is* the input batch.
-    pub fn split_batch(
-        &self,
-        batch: &OperationBatch,
-        assignment: &mut BTreeMap<ObjectId, usize>,
-    ) -> Vec<OperationBatch> {
-        self.route_batch(batch, assignment).sub_batches
-    }
-
-    /// [`ShardRouter::split_batch`] plus the *per-operation routing report*:
-    /// the shard each input operation was forwarded to, in input order.  The
-    /// cross-shard refinement pass consumes this to replay the batch against
-    /// its global view (re-keying each touched record under its owning
-    /// shard) without re-deriving the sticky routing decisions.
+    ///
+    /// The returned [`RoutedBatch`] also carries the *per-operation routing
+    /// report*: the shard each input operation was forwarded to, in input
+    /// order.  The cross-shard refinement pass consumes it to replay the
+    /// batch against its global view (recording each touched record's
+    /// owning shard) without re-deriving the sticky routing decisions.
     pub fn route_batch(
         &self,
         batch: &OperationBatch,
@@ -171,21 +163,13 @@ impl ShardRouter {
             op_shards,
         }
     }
-
-    /// An empty [`BoundaryIndex`] deriving its keys from this router's
-    /// blocking strategy, so boundary detection and routing agree on the key
-    /// material.
-    pub fn boundary_index(&self) -> BoundaryIndex {
-        BoundaryIndex::new(self.blocking.clone_blocking())
-    }
 }
 
 /// What [`ShardRouter::route_batch`] produced: the per-shard sub-batches and
 /// the per-operation routing report.
 #[derive(Debug)]
 pub struct RoutedBatch {
-    /// One sub-batch per shard — a permutation-free partition of the input
-    /// (identical to [`ShardRouter::split_batch`]'s return value).
+    /// One sub-batch per shard — a permutation-free partition of the input.
     pub sub_batches: Vec<OperationBatch>,
     /// The shard each input operation was forwarded to, in input order.
     pub op_shards: Vec<usize>,
@@ -253,7 +237,7 @@ mod tests {
             record: textual("y"),
         });
         let mut assignment = BTreeMap::new();
-        let subs = router.split_batch(&batch, &mut assignment);
+        let subs = router.route_batch(&batch, &mut assignment).sub_batches;
         assert_eq!(subs.len(), 1);
         assert_eq!(subs[0], batch);
         assert_eq!(assignment.get(&oid(1)), Some(&0));
@@ -268,7 +252,7 @@ mod tests {
             id: oid(1),
             record: textual("alpha"),
         });
-        let subs = router.split_batch(&batch, &mut assignment);
+        let subs = router.route_batch(&batch, &mut assignment).sub_batches;
         let owner = assignment[&oid(1)];
         assert_eq!(subs[owner].len(), 1);
 
@@ -278,14 +262,14 @@ mod tests {
             id: oid(1),
             record: textual("zzz completely different"),
         });
-        let subs2 = router.split_batch(&batch2, &mut assignment);
+        let subs2 = router.route_batch(&batch2, &mut assignment).sub_batches;
         assert_eq!(subs2[owner].len(), 1);
         assert_eq!(assignment[&oid(1)], owner);
 
         // A remove goes to the owner and releases the assignment.
         let mut batch3 = OperationBatch::new();
         batch3.push(Operation::Remove { id: oid(1) });
-        let subs3 = router.split_batch(&batch3, &mut assignment);
+        let subs3 = router.route_batch(&batch3, &mut assignment).sub_batches;
         assert_eq!(subs3[owner].len(), 1);
         assert!(!assignment.contains_key(&oid(1)));
     }

@@ -5,10 +5,10 @@
 //!    result is `< n_shards`, and the same record routes identically across
 //!    calls and across arbitrary Add/Update/Remove histories (the router is
 //!    stateless);
-//! 2. [`ShardRouter::split_batch`] is a **permutation-free partition** of
-//!    the input batch: every operation lands in exactly one sub-batch, each
-//!    sub-batch is an order-preserving subsequence of the input, and the
-//!    lengths add up;
+//! 2. [`ShardRouter::route_batch`]'s sub-batches are a **permutation-free
+//!    partition** of the input batch: every operation lands in exactly one
+//!    sub-batch, each sub-batch is an order-preserving subsequence of the
+//!    input, and the lengths add up;
 //! 3. the assignment is **sticky and exclusive**: after any sequence of
 //!    batches, every live object is owned by exactly one shard, and every
 //!    operation on a live object was sent to its owner.
@@ -120,7 +120,7 @@ proptest! {
             // what it says about any record (the router is stateless).
             let mut assignment = BTreeMap::new();
             for batch in to_batches(&ops) {
-                router.split_batch(&batch, &mut assignment);
+                router.route_batch(&batch, &mut assignment);
             }
             let after: Vec<usize> = records.iter().map(|r| router.route(r)).collect();
             prop_assert_eq!(&before, &after, "{}: routing drifted", name);
@@ -136,7 +136,7 @@ proptest! {
         for (name, router) in routers() {
             let mut assignment = BTreeMap::new();
             for batch in to_batches(&ops) {
-                let subs = router.split_batch(&batch, &mut assignment);
+                let subs = router.route_batch(&batch, &mut assignment).sub_batches;
                 prop_assert_eq!(subs.len(), router.n_shards(), "{}: one sub-batch per shard", name);
                 let total: usize = subs.iter().map(OperationBatch::len).sum();
                 prop_assert_eq!(total, batch.len(), "{}: operations lost or duplicated", name);
@@ -172,7 +172,7 @@ proptest! {
             let mut live: Vec<std::collections::BTreeSet<ObjectId>> =
                 vec![Default::default(); router.n_shards()];
             for batch in to_batches(&ops) {
-                let subs = router.split_batch(&batch, &mut assignment);
+                let subs = router.route_batch(&batch, &mut assignment).sub_batches;
                 for (shard, sub) in subs.iter().enumerate() {
                     for op in sub.iter() {
                         match op {

@@ -22,7 +22,7 @@
 //! [`Span`] timers feed the histograms: [`Registry::span`] captures a start
 //! instant, [`Span::finish_ns`] records the elapsed nanoseconds under the
 //! span's name and returns them.  Phase spans nest lexically (route → WAL
-//! append → shard apply → boundary exchange → repair → checkpoint), giving a
+//! append → shard apply → cross-edge recovery → repair → checkpoint), giving a
 //! per-round phase breakdown whose sum is comparable against the enclosing
 //! round span.
 //!

@@ -3,7 +3,7 @@
 //! Plain sharding drops every similarity edge whose endpoints route to
 //! different shards, so the merged clustering silently under-merges.  The
 //! refinement layer (on by default in [`ShardedEngine`]) recovers those
-//! boundary pairs and repairs the merged clustering with the same trained
+//! cross-shard edges and repairs the merged clustering with the same trained
 //! merge/split passes the unsharded engine runs — making the refined
 //! clustering *pair-for-pair identical* to the unsharded one.
 //!
