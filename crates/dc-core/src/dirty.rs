@@ -1,13 +1,14 @@
-//! Dirty-set tracking for the incremental refinement pass.
+//! Dirty-set tracking for the scoped Algorithm 3 every [`crate::Engine`]
+//! round runs.
 //!
-//! The cross-shard refiner ([`crate::refine`]) runs the same trained merge
-//! and split passes as the unsharded engine, but over a *global* mirror of
-//! all shards — so a full fixed point each round costs about one unsharded
-//! pass, erasing the sharded throughput win.  The fix is the paper's own
-//! discipline applied one layer up: a round only changes aggregates within
-//! O(degree) of the touched objects, so only clusters near those changes can
-//! flip a merge/split decision.  Everything else ended the previous round at
-//! a rejection fixed point that still stands verbatim.
+//! A full fixed point re-verifies every live cluster each round, so its cost
+//! grows with the clustering rather than with the round.  The fix is the
+//! paper's own discipline applied to the passes: a round only changes
+//! aggregates within O(degree) of the touched objects, so only clusters near
+//! those changes can flip a merge/split decision.  Everything else ended the
+//! previous round at a rejection fixed point that still stands verbatim.
+//! The engine's §6.1 fold records the round's [`DirtySeeds`]; the repair
+//! closes them into the evaluation set below.
 //!
 //! [`PassScope`] carries the two pieces of cross-round state that make the
 //! restricted pass both cheap and **decision-identical** to the full one:
@@ -49,7 +50,7 @@
 //! holds; once it leaves, the cluster is evaluated in place exactly like the
 //! full pass would evaluate it — so the restricted pass stays
 //! decision-identical even under score drift.  The intervals are genuine
-//! cross-round decision state and are persisted in the refine snapshot (a
+//! cross-round decision state and are persisted in every engine snapshot (a
 //! recovered run must make the same skip decisions as a never-restarted
 //! one); the flags stay derived-only.
 //!
@@ -58,9 +59,45 @@
 use crate::models::ModelPair;
 use dc_evolution::{merge_features, split_features};
 use dc_objective::IMPROVEMENT_EPSILON;
-use dc_similarity::ClusterAggregates;
-use dc_types::ClusterId;
+use dc_similarity::{ClusterAggregates, SimilarityGraph};
+use dc_types::{ClusterId, Clustering, ObjectId};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// The dirty seeds one round's §6.1 fold collects: the objects whose
+/// cluster's aggregate row the fold may have changed, and the clusters
+/// objects left (which stay seeds even after their last member leaves).
+#[derive(Debug, Default)]
+pub(crate) struct DirtySeeds {
+    touched: BTreeSet<ObjectId>,
+    clusters: BTreeSet<ClusterId>,
+}
+
+impl DirtySeeds {
+    /// Record `id` and its current neighbours in `graph` as touched (called
+    /// both before and after an operation, so clusters losing *and* gaining
+    /// edge mass are captured).
+    pub(crate) fn touch(&mut self, graph: &SimilarityGraph, id: ObjectId) {
+        self.touched.insert(id);
+        self.touched.extend(graph.neighbors(id).map(|(n, _)| n));
+    }
+
+    /// Record a cluster an object is about to leave.
+    pub(crate) fn seed_cluster(&mut self, cid: ClusterId) {
+        self.clusters.insert(cid);
+    }
+
+    /// The seed clusters still live after the fold: the recorded ones plus
+    /// the post-fold clusters of every touched object.
+    pub(crate) fn into_live_clusters(mut self, clustering: &Clustering) -> BTreeSet<ClusterId> {
+        self.clusters.extend(
+            self.touched
+                .iter()
+                .filter_map(|&id| clustering.cluster_of(id)),
+        );
+        self.clusters.retain(|&c| clustering.contains_cluster(c));
+        self.clusters
+    }
+}
 
 /// Cross-round dirty-tracking state threaded through the scoped merge and
 /// split passes.  See the module docs for the invariants.
@@ -82,10 +119,6 @@ pub(crate) struct PassScope {
 }
 
 impl PassScope {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Replace the evaluation set for this round's passes.
     pub(crate) fn set_eval(&mut self, eval: BTreeSet<ClusterId>) {
         self.eval = eval;
@@ -374,7 +407,7 @@ mod tests {
         let models = ModelPair::new(dc_ml::ModelKind::LogisticRegression, 10);
         let c1 = clustering.cluster_of(oid(1)).unwrap();
 
-        let mut scope = PassScope::new();
+        let mut scope = PassScope::default();
         let f = scope.merge_flag(c1, &agg, &models, 1.0);
         assert!(scope.has_flags(c1) || !scope.split_flags.contains_key(&c1));
         assert_eq!(scope.merge_flag(c1, &agg, &models, 1.0), f, "cached");
@@ -385,7 +418,7 @@ mod tests {
     #[test]
     fn rejection_intervals_gate_skips_and_die_with_invalidation() {
         let c = ClusterId::new(7);
-        let mut scope = PassScope::new();
+        let mut scope = PassScope::default();
 
         // No recorded proof and no score dependence: skips unconditionally.
         assert!(scope.merge_rejection_holds(c, None));
@@ -409,7 +442,7 @@ mod tests {
         assert!(scope.split_rejection_holds(c, Some(9.0)));
 
         // Restore-from-snapshot carries exactly the recorded intervals.
-        let mut scope = PassScope::new();
+        let mut scope = PassScope::default();
         scope.record_merge_rejection(c, 0.25);
         let (floors, ceils) = scope.rejection_intervals();
         let restored = PassScope::from_rejection_intervals(floors.clone(), ceils.clone());

@@ -28,34 +28,40 @@
 //!
 //! A recovered engine is *bit-identical* to a never-restarted one: same
 //! clusterings (down to cluster ids), same [`DynamicCStats`], same future
-//! decisions.  Three design choices carry that invariant, each checked by
-//! `tests/durable_recovery.rs` (one durable shard against a never-restarted
-//! [`Engine`]):
+//! decisions.  The snapshot — one versioned format for shards and the
+//! cross-shard refiner — carries that invariant, checked
+//! by `tests/durable_recovery.rs` (one durable shard against a
+//! never-restarted [`Engine`]):
 //!
-//! 1. the snapshot stores the aggregates' exact `f64` bits (a rebuild would
-//!    re-derive them in a different addition order and could flip an exact
-//!    tie in a later merge/split verification);
-//! 2. the clustering snapshot includes the cluster-id watermark, so the
-//!    first structural change after recovery allocates the same id the
+//! 1. it stores the aggregates' exact `f64` bits (a rebuild would re-derive
+//!    them in a different addition order and could flip an exact tie in a
+//!    later merge/split verification);
+//! 2. the clustering includes the cluster-id watermark, so the first
+//!    structural change after recovery allocates the same id the
 //!    uninterrupted run would have;
-//! 3. the snapshot stores the [`DynamicCStats`] at checkpoint time, and
-//!    replayed rounds accumulate their deltas on top.
+//! 3. it stores the [`DynamicCStats`] at checkpoint time, and replayed
+//!    rounds accumulate their deltas on top;
+//! 4. it stores the scoped passes' convergence flag and proven rejection
+//!    intervals (the `dirty` module), so replayed rounds make the same
+//!    full-vs-scoped and skip decisions — and count the same work — as the
+//!    never-restarted run.
 //!
 //! What is *not* persisted: the graph configuration (boxed measure/blocking
-//! trait objects) and the trained [`DynamicC`] models.  Both are supplied by
-//! the caller at [`crate::ShardedDurableEngine::open`] — they are
-//! construction-time inputs (config and deterministic training), not state
-//! that evolves while serving; the engine's serving path only reads the
-//! models.
+//! trait objects), the trained [`DynamicC`] models, and the model-flag
+//! cache (a pure function of the aggregates and the models).  The first two
+//! are supplied by the caller at [`crate::ShardedDurableEngine::open`] —
+//! construction-time inputs, not state that evolves while serving.
 
 use crate::config::DynamicCStats;
+use crate::dirty::PassScope;
 use crate::dynamic::DynamicC;
 use crate::engine::{Engine, RoundReport};
 use dc_similarity::{AggregatesState, ClusterAggregates, GraphConfig, GraphState, SimilarityGraph};
 use dc_storage::wal::list_segments;
 use dc_storage::{Snapshotter, StorageError, Wal};
 use dc_types::codec::{BinCodec, ByteReader, ByteWriter, CodecError};
-use dc_types::{Clustering, OperationBatch};
+use dc_types::{ClusterId, Clustering, ObjectId, OperationBatch};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Durability policy for a [`crate::ShardedDurableEngine`].
@@ -133,51 +139,172 @@ impl BinCodec for DynamicCStats {
     }
 }
 
-/// The snapshot payload: everything a restart needs that is not supplied by
-/// the caller at open time.
-struct EngineSnapshot {
+/// Magic prefix of a versioned engine snapshot ("DCRF" read back as bytes,
+/// introduced by the v2 refine snapshot).  Unframed payloads — shard
+/// snapshots before v3, v1 refine snapshots — are rejected with a typed
+/// error instead of misparsed.
+const SNAPSHOT_MAGIC: u32 = 0x4652_4344;
+/// v3 made shard and refine snapshots one format: engine state plus the
+/// refiner's owner map.  v2 was the refine-only format.
+const SNAPSHOT_VERSION: u8 = 3;
+
+/// A borrowed, encode-only view of an engine's durable state: what a
+/// checkpoint hands the snapshotter.  No record, clustering or map is
+/// cloned, so checkpoint cost stays at O(serialized bytes).  Decoding goes
+/// through [`EngineState`].
+#[derive(Debug)]
+pub(crate) struct SnapshotRef<'a> {
+    pub(crate) engine: &'a Engine,
+    /// The cross-shard refiner's object → shard owner map (`None`, written
+    /// as an empty map, for a shard).
+    pub(crate) owner: Option<&'a BTreeMap<ObjectId, usize>>,
+}
+
+impl BinCodec for SnapshotRef<'_> {
+    fn encode(&self, w: &mut ByteWriter) {
+        let e = self.engine;
+        let (converged, merge_floors, split_ceils) = e.pass_state();
+        w.put_u32(SNAPSHOT_MAGIC);
+        w.put_u8(SNAPSHOT_VERSION);
+        w.put_u64(e.rounds_served() as u64);
+        e.graph().encode_state_into(w);
+        e.clustering().encode(w);
+        e.aggregates().export_state().encode(w);
+        e.stats().encode(w);
+        w.put_bool(converged);
+        merge_floors.encode(w);
+        split_ceils.encode(w);
+        match self.owner {
+            Some(owner) => owner.encode(w),
+            None => BTreeMap::<ObjectId, usize>::new().encode(w),
+        }
+    }
+    fn decode(_r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Err(CodecError::Invalid(
+            "SnapshotRef is encode-only; decode through EngineState".into(),
+        ))
+    }
+}
+
+/// An engine snapshot as decoded: everything a restart needs that is not
+/// supplied by the caller at open time.
+#[derive(Debug)]
+pub(crate) struct EngineState {
     rounds_served: u64,
     graph: GraphState,
     clustering: Clustering,
     aggregates: AggregatesState,
     stats: DynamicCStats,
+    converged: bool,
+    merge_floors: BTreeMap<ClusterId, f64>,
+    split_ceils: BTreeMap<ClusterId, f64>,
+    owner: BTreeMap<ObjectId, usize>,
 }
 
-impl BinCodec for EngineSnapshot {
+impl BinCodec for EngineState {
     fn encode(&self, w: &mut ByteWriter) {
+        w.put_u32(SNAPSHOT_MAGIC);
+        w.put_u8(SNAPSHOT_VERSION);
         w.put_u64(self.rounds_served);
         self.graph.encode(w);
         self.clustering.encode(w);
         self.aggregates.encode(w);
         self.stats.encode(w);
+        w.put_bool(self.converged);
+        self.merge_floors.encode(w);
+        self.split_ceils.encode(w);
+        self.owner.encode(w);
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(EngineSnapshot {
+        let magic = r.get_u32()?;
+        if magic != SNAPSHOT_MAGIC {
+            return Err(CodecError::Invalid(format!(
+                "engine snapshot has no magic (found 0x{magic:08x}): this is an \
+                 unversioned (pre-v3 shard, v1 refine) snapshot or corrupt data — \
+                 re-checkpoint under the writing binary before upgrading"
+            )));
+        }
+        let version = r.get_u8()?;
+        if version != SNAPSHOT_VERSION {
+            return Err(CodecError::Invalid(format!(
+                "unsupported engine snapshot version {version} \
+                 (this binary reads version {SNAPSHOT_VERSION})"
+            )));
+        }
+        Ok(EngineState {
             rounds_served: r.get_u64()?,
             graph: GraphState::decode(r)?,
             clustering: Clustering::decode(r)?,
             aggregates: AggregatesState::decode(r)?,
             stats: DynamicCStats::decode(r)?,
+            converged: r.get_bool()?,
+            merge_floors: BTreeMap::decode(r)?,
+            split_ceils: BTreeMap::decode(r)?,
+            owner: BTreeMap::decode(r)?,
         })
     }
 }
 
-/// Capture the engine's current durable state as a snapshot payload.
-fn snapshot_of(engine: &Engine) -> EngineSnapshot {
-    EngineSnapshot {
-        rounds_served: engine.rounds_served() as u64,
-        graph: engine.graph().export_state(),
-        clustering: engine.clustering().clone(),
-        aggregates: engine.aggregates().export_state(),
-        stats: *engine.stats(),
+impl Engine {
+    /// The engine's snapshot as a shard writes it (no owner map).
+    pub(crate) fn snapshot(&self) -> SnapshotRef<'_> {
+        SnapshotRef {
+            engine: self,
+            owner: None,
+        }
+    }
+}
+
+impl EngineState {
+    /// The round the snapshot was taken after.
+    pub(crate) fn rounds_served(&self) -> u64 {
+        self.rounds_served
+    }
+
+    /// Reassemble the engine (and the owner map, empty for a shard) under
+    /// the caller's graph configuration and models.  The graph, clustering
+    /// and aggregates must describe the same objects and clusters; anything
+    /// else is damage, rejected here rather than served.
+    pub(crate) fn into_engine(
+        self,
+        graph_config: GraphConfig,
+        mut dynamicc: DynamicC,
+    ) -> Result<(Engine, BTreeMap<ObjectId, usize>), CodecError> {
+        let graph = SimilarityGraph::import_state(graph_config, self.graph)?;
+        let aggregates = ClusterAggregates::import_state(self.aggregates)?;
+        let clustering = self.clustering;
+        let objects_agree = clustering.object_count() == graph.object_count()
+            && graph
+                .object_ids()
+                .into_iter()
+                .all(|id| clustering.contains_object(id));
+        let clusters_agree = aggregates.cluster_ids() == clustering.cluster_ids()
+            && (clustering.cluster_ids().into_iter())
+                .all(|c| aggregates.cluster_size(c) == clustering.cluster_size(c));
+        if !(objects_agree && clusters_agree) {
+            return Err(CodecError::Invalid(
+                "snapshot graph, clustering and aggregates disagree".into(),
+            ));
+        }
+        dynamicc.restore_stats(self.stats);
+        let engine = Engine::from_parts(
+            graph,
+            clustering,
+            aggregates,
+            dynamicc,
+            self.rounds_served as usize,
+            self.converged,
+            PassScope::from_rejection_intervals(self.merge_floors, self.split_ceils),
+        );
+        Ok((engine, self.owner))
     }
 }
 
 /// Load the latest snapshot in the directory, timed as
 /// `recovery.snapshot_load`.
-fn load_snapshot(snapshotter: &Snapshotter) -> Result<Option<(u64, EngineSnapshot)>, StorageError> {
+fn load_snapshot(snapshotter: &Snapshotter) -> Result<Option<(u64, EngineState)>, StorageError> {
     let span = dc_telemetry::registry().span("recovery.snapshot_load");
-    let loaded = snapshotter.load_latest::<EngineSnapshot>();
+    let loaded = snapshotter.load_latest::<EngineState>();
     span.finish();
     loaded
 }
@@ -251,7 +378,7 @@ impl DurableEngine {
         // creates a fresh segment).  The other order would leave a segment
         // without any snapshot — a state indistinguishable from a damaged
         // directory.
-        snapshotter.write(0, &snapshot_of(&engine))?;
+        snapshotter.write(0, &engine.snapshot())?;
         let wal = Wal::create(dir, 0)?;
         Ok((
             DurableEngine {
@@ -294,14 +421,14 @@ impl DurableEngine {
         dir: &Path,
         snapshotter: Snapshotter,
         graph_config: GraphConfig,
-        mut dynamicc: DynamicC,
+        dynamicc: DynamicC,
         replay_cap: Option<u64>,
-        (snapshot_round, snapshot): (u64, EngineSnapshot),
+        (snapshot_round, snapshot): (u64, EngineState),
     ) -> Result<(Self, RecoveryReport), StorageError> {
-        if snapshot.rounds_served != snapshot_round {
+        if snapshot.rounds_served() != snapshot_round {
             return Err(StorageError::Inconsistent(format!(
                 "snapshot file for round {snapshot_round} records rounds_served = {}",
-                snapshot.rounds_served
+                snapshot.rounds_served()
             )));
         }
         if let Some(cap) = replay_cap.filter(|&cap| snapshot_round > cap) {
@@ -319,17 +446,14 @@ impl DurableEngine {
         };
         let reg = dc_telemetry::registry();
         let span = reg.span("recovery.state_import");
-        let graph =
-            SimilarityGraph::import_state(graph_config, snapshot.graph).map_err(codec_err)?;
-        let aggregates = ClusterAggregates::import_state(snapshot.aggregates).map_err(codec_err)?;
-        dynamicc.restore_stats(snapshot.stats);
-        let mut engine = Engine::from_parts(
-            graph,
-            snapshot.clustering,
-            aggregates,
-            dynamicc,
-            snapshot_round as usize,
-        );
+        let (mut engine, owner) = snapshot
+            .into_engine(graph_config, dynamicc)
+            .map_err(codec_err)?;
+        if !owner.is_empty() {
+            return Err(codec_err(CodecError::Invalid(
+                "a shard snapshot carries an owner map".into(),
+            )));
+        }
         span.finish();
 
         // Replay the WAL tail.  Segments predating the snapshot may survive
@@ -407,7 +531,7 @@ impl DurableEngine {
         let reg = dc_telemetry::registry();
         let span = reg.span("checkpoint.total");
         let round = self.engine.rounds_served() as u64;
-        self.snapshotter.write(round, &snapshot_of(&self.engine))?;
+        self.snapshotter.write(round, &self.engine.snapshot())?;
         self.last_checkpoint_round = round;
         if self.wal.start_round() != round {
             self.wal = Wal::create(self.snapshotter.dir(), round)?;

@@ -1,16 +1,21 @@
 //! The DynamicC system and its full algorithm (Algorithm 3, §6.4).
 
 use crate::config::{DynamicCConfig, DynamicCStats};
+use crate::dirty::PassScope;
 use crate::merge::merge_pass;
 use crate::models::ModelPair;
 use crate::split::split_pass;
 use dc_baselines::{prepare_working_clustering, IncrementalClusterer};
 use dc_evolution::{derive_transformation, NegativeSampler, RoundExamples};
 use dc_ml::ConfusionMatrix;
-use dc_objective::ObjectiveFunction;
+use dc_objective::{DecisionLocality, ObjectiveFunction};
 use dc_similarity::{ClusterAggregates, SimilarityGraph};
 use dc_types::{Clustering, OperationBatch};
 use std::sync::Arc;
+
+/// The span names of a served round's merge and split passes (and of the
+/// stateless [`IncrementalClusterer::recluster`]'s).
+pub(crate) const ENGINE_PASSES: [&str; 2] = ["engine.merge_pass", "engine.split_pass"];
 
 /// The DynamicC dynamic clustering system.
 ///
@@ -163,47 +168,63 @@ impl DynamicC {
     // Serving (Algorithm 3)
     // ------------------------------------------------------------------
 
-    /// Algorithm 3 applied to an already-prepared working clustering with an
-    /// already-prepared maintained aggregate: the merge and split passes read
-    /// all candidate state from `agg` and fold every applied change back into
-    /// it, so the whole fixed-point loop performs **no** full aggregate
-    /// builds.  `agg` must describe `(graph, working)` on entry and does so
-    /// again on exit.  Each pass is timed under the `engine.merge_pass` and
-    /// `engine.split_pass` spans.
-    pub(crate) fn run_full_algorithm(
+    /// Algorithm 3 (§6.4): alternate the merge and split passes until a
+    /// fixed point or `max_passes`, and return whether the fixed point was
+    /// reached.  The passes read all candidate state from `agg` (which must
+    /// describe `(graph, working)`) and fold every applied change back into
+    /// it, so the loop performs **no** full aggregate builds.  Each pass is
+    /// timed under its span in `spans`.  With a `scope` the passes are the
+    /// scoped ones of [`Engine`](crate::Engine) rounds, threading the running
+    /// score of a [`DecisionLocality::GlobalMean`] objective; without one
+    /// they re-verify every cluster.
+    pub(crate) fn run_passes(
         &mut self,
         graph: &SimilarityGraph,
         working: &mut Clustering,
         agg: &mut ClusterAggregates,
-    ) {
+        mut scope: Option<&mut PassScope>,
+        [merge_span, split_span]: [&'static str; 2],
+    ) -> bool {
         let reg = dc_telemetry::registry();
+        let objective = self.objective.as_ref();
+        let track_score =
+            scope.is_some() && objective.decision_locality() == DecisionLocality::GlobalMean;
         for _ in 0..self.config.max_passes {
-            let span = reg.span("engine.merge_pass");
+            // Re-reading the score from the aggregates at every iteration
+            // keeps the in-pass `score += delta` tracking from accumulating
+            // rounding drift across iterations.
+            let mut score = track_score.then(|| objective.evaluate_with(agg, graph, working));
+            let span = reg.span(merge_span);
             let merged = merge_pass(
                 graph,
                 working,
                 agg,
-                self.objective.as_ref(),
+                objective,
                 &self.models,
                 self.config.theta_scale,
                 &mut self.stats,
+                scope.as_deref_mut(),
+                score.as_mut(),
             );
             span.finish();
-            let span = reg.span("engine.split_pass");
+            let span = reg.span(split_span);
             let split = split_pass(
                 graph,
                 working,
                 agg,
-                self.objective.as_ref(),
+                objective,
                 &self.models,
                 self.config.theta_scale,
                 &mut self.stats,
+                scope.as_deref_mut(),
+                score.as_mut(),
             );
             span.finish();
             if !merged && !split {
-                break;
+                return true;
             }
         }
+        false
     }
 
     /// Convenience wrapper: cluster a graph from scratch (every object starts
@@ -213,7 +234,7 @@ impl DynamicC {
     pub fn cluster_from_scratch(&mut self, graph: &SimilarityGraph) -> Clustering {
         let mut working = Clustering::singletons(graph.object_ids());
         let mut agg = ClusterAggregates::new(graph, &working);
-        self.run_full_algorithm(graph, &mut working, &mut agg);
+        self.run_passes(graph, &mut working, &mut agg, None, ENGINE_PASSES);
         working
     }
 
@@ -258,7 +279,7 @@ impl IncrementalClusterer for DynamicC {
         let mut agg = ClusterAggregates::new(graph, &working);
         // §6.4 full algorithm: alternate merge and split passes to a fixed
         // point, each proposal verified against the objective.
-        self.run_full_algorithm(graph, &mut working, &mut agg);
+        self.run_passes(graph, &mut working, &mut agg, None, ENGINE_PASSES);
         working
     }
 }

@@ -33,7 +33,8 @@
 //!    cluster aggregates across rounds, so a steady-state round performs no
 //!    full O(E) aggregate rebuild at all — `apply_round(batch)` folds the
 //!    operations into all three states at O(degree) per operation and then
-//!    runs Algorithm 3 against the maintained aggregate.
+//!    runs Algorithm 3 against the maintained aggregate, scoped to the
+//!    dirty closure of the round's changes.
 //! 5. **Sharded serving** ([`shard`]).  One engine type, [`shard::Sharded`],
 //!    partitions the live objects across N ≥ 1 shards by their blocking
 //!    keys (`dc_similarity::ShardRouter`) and serves each round's
@@ -51,15 +52,15 @@
 //!    edges the partition dropped and repairs the merged
 //!    clustering by running the trained merge/split passes — making
 //!    multi-shard serving quality-equivalent to the unsharded engine instead
-//!    of silently lossy.  Repair is **incremental**: the refiner maintains
-//!    the global mirror, its owner map, and aggregates across rounds,
-//!    computes each shard pair's cross edges once per pair lifetime, and
-//!    restricts the merge/split fixed point to the dirty closure of the
-//!    round's changes, partitioned into connected repair regions.  For
-//!    objectives whose accept/reject decisions depend on the global score
-//!    (declared via [`dc_objective::DecisionLocality`]), recorded rejection
-//!    validity intervals keep the restricted fixed point decision-identical
-//!    to a full repair.
+//!    of silently lossy.  The refined view is an [`Engine`] over a global
+//!    mirror graph plus an owner map, so its repair is the engine's own
+//!    scoped round: each shard pair's cross edges are computed once per
+//!    pair lifetime, and the merge/split fixed point is restricted to the
+//!    dirty closure of the round's changes.  For objectives whose
+//!    accept/reject decisions depend on the global score (declared via
+//!    [`dc_objective::DecisionLocality`]), recorded rejection validity
+//!    intervals keep the restricted fixed point decision-identical to a
+//!    full repair.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

@@ -31,72 +31,20 @@ use std::collections::{BTreeSet, VecDeque};
 /// and candidate neighbourhood from it and folds every applied merge back in
 /// via [`ClusterAggregates::apply_merge`], so no candidate triggers a full
 /// rebuild.
-pub(crate) fn merge_pass(
-    graph: &SimilarityGraph,
-    clustering: &mut Clustering,
-    agg: &mut ClusterAggregates,
-    objective: &dyn ObjectiveFunction,
-    models: &ModelPair,
-    theta_scale: f64,
-    stats: &mut DynamicCStats,
-) -> bool {
-    merge_pass_impl(
-        graph,
-        clustering,
-        agg,
-        objective,
-        models,
-        theta_scale,
-        stats,
-        None,
-        None,
-    )
-}
-
-/// The candidate-restricted entry point of the merge pass, used by the
-/// incremental cross-shard refiner.  The pass walks the *same* candidate
-/// queue as [`merge_pass`] (flags come from the scope's cache, which holds
-/// exactly the values the full pass would compute), but a dequeued candidate
-/// outside the scope's evaluation set is removed without being evaluated —
-/// replaying the rejection the previous fixed point already proved for it.
-/// Applied merges grow the evaluation set through
-/// [`PassScope::after_merge`], so cascades are chased exactly like the full
-/// pass chases them.  The unsharded serving path never calls this.
 ///
-/// `global_score` is the pass's running objective score, threaded in (and
-/// kept current across applied merges) when the objective declares
-/// [`dc_objective::DecisionLocality::GlobalMean`]: clean-skip decisions are
-/// then gated on the scope's recorded score-validity intervals at the skip
-/// site, and every fully rejected candidate records a fresh interval.  Pass
-/// `None` for sum-decomposable objectives, whose rejections hold at any
-/// score.
+/// With a `scope` — every [`Engine`](crate::Engine) round — the pass walks
+/// the *same* candidate queue as the unscoped pass of the stateless
+/// `recluster` (the scope's cached flags equal what it would compute), but
+/// a dequeued candidate outside the scope's evaluation set is removed
+/// without evaluation, replaying the rejection the previous fixed point
+/// proved.  Applied merges grow the evaluation set
+/// ([`PassScope::after_merge`]), so cascades are chased exactly alike.
+/// `global_score` is the running score of a
+/// [`dc_objective::DecisionLocality::GlobalMean`] objective (`None`
+/// otherwise): clean skips are then gated on the recorded score-validity
+/// intervals, and every fully rejected candidate records a fresh one.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn merge_pass_scoped(
-    graph: &SimilarityGraph,
-    clustering: &mut Clustering,
-    agg: &mut ClusterAggregates,
-    objective: &dyn ObjectiveFunction,
-    models: &ModelPair,
-    theta_scale: f64,
-    stats: &mut DynamicCStats,
-    scope: &mut PassScope,
-    global_score: Option<&mut f64>,
-) -> bool {
-    merge_pass_impl(
-        graph,
-        clustering,
-        agg,
-        objective,
-        models,
-        theta_scale,
-        stats,
-        Some(scope),
-        global_score,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn merge_pass_impl(
+pub(crate) fn merge_pass(
     graph: &SimilarityGraph,
     clustering: &mut Clustering,
     agg: &mut ClusterAggregates,
@@ -316,6 +264,8 @@ mod tests {
             &models,
             1.0,
             &mut stats,
+            None,
+            None,
         );
         assert!(changed);
         assert_eq!(clustering.cluster_of(oid(1)), clustering.cluster_of(oid(2)));
@@ -343,6 +293,8 @@ mod tests {
             &models,
             0.01,
             &mut stats,
+            None,
+            None,
         );
         assert!(!changed);
         assert_eq!(clustering.cluster_count(), 2);
@@ -367,6 +319,8 @@ mod tests {
             &models,
             1.0,
             &mut stats,
+            None,
+            None,
         );
         assert_eq!(clustering.cluster_count(), 1);
         assert!(stats.merges_applied >= 2);
@@ -390,6 +344,8 @@ mod tests {
             &models,
             1.0,
             &mut stats,
+            None,
+            None,
         );
         assert_eq!(clustering.cluster_of(oid(1)), clustering.cluster_of(oid(2)));
         assert_ne!(clustering.cluster_of(oid(3)), clustering.cluster_of(oid(4)));

@@ -32,9 +32,8 @@
 //!
 //! The worker runs the refiner's one round fold
 //! (`CrossShardRefiner::fold_round`, the same call the synchronous engine
-//! and recovery make), which computes every pair
-//! against the mirror's own records and so needs no access to the shard
-//! engines at all.  The headline invariant, pinned by
+//! and recovery make), which needs no access to the shard engines at all.
+//! The headline invariant, pinned by
 //! `tests/pipeline_equivalence.rs`: after
 //! [`PipelinedEngine::close`], the clustering, the refined clustering, and
 //! the recovered-after-crash state are all bit-identical to a synchronous
@@ -745,8 +744,7 @@ impl PipelinedEngine {
         let (admit_tx, admit_rx) = bounded_channel::<Admit>(options.queue_capacity);
 
         // Refine worker: folds committed rounds into the engine's shared
-        // refiner using shard 0's pass configuration (all shards carry an
-        // identical one — validated when the refiner was built).
+        // refiner.
         let (refine_tx, refine_worker) = match engine.detached_fold() {
             Some(fold) => {
                 let (tx, rx) = bounded_channel::<(OperationBatch, Vec<usize>)>(

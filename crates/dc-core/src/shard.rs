@@ -1,70 +1,56 @@
 //! Sharded parallel serving: N independent engines behind one facade,
 //! [`Sharded`], for any shard count N ≥ 1.
 //!
-//! The serving loop is embarrassingly partitionable across blocking keys
-//! (§6, Algorithm 3): similarity edges only ever form between records that
-//! share a block, so partitioning objects by their canonical blocking key
-//! ([`ShardRouter`]) yields shards whose engines never need to talk to each
-//! other.  A round is one apply call per shard, and the N calls run in
-//! parallel on a hand-rolled scoped-thread pool (`std::thread::scope`; no
-//! dependencies).  The shard kind is the engine's one type parameter:
-//! [`ShardedEngine`] serves in-memory [`Engine`]s and
-//! [`ShardedDurableEngine`] serves logged [`DurableEngine`]s; both run the
-//! same round and answer the same accessors.
+//! Similarity edges only form between records that share a block, so
+//! partitioning objects by their canonical blocking key ([`ShardRouter`])
+//! yields shards whose engines never talk to each other.  A round is one
+//! apply call per shard, run in parallel on a hand-rolled scoped-thread
+//! pool (`std::thread::scope`).  The shard kind is the engine's one type
+//! parameter: [`ShardedEngine`] serves in-memory [`Engine`]s and
+//! [`ShardedDurableEngine`] logged [`DurableEngine`]s, through the same
+//! round and the same accessors.
 //!
 //! ## What the partition preserves
 //!
 //! * **Objects** — every live object is owned by exactly one shard, decided
 //!   by the router at first sight and sticky until the object is removed.
 //! * **Cluster-id namespaces** — shard `i` allocates cluster ids from
-//!   `shard_id_base(i) + watermark` upward (the watermark scheme the
-//!   [`Clustering`] codec already persists), so per-shard clusterings merge
+//!   `shard_id_base(i) + watermark` upward, so per-shard clusterings merge
 //!   into one global view without id collisions.  Clusters inherited whole
 //!   from the pre-partition clustering keep their original ids.
 //! * **Statistics** — the global [`DynamicCStats`] / comparison counters /
 //!   [`RoundReport`]s are the field-wise sums of the per-shard ones.
 //!
-//! What the *partition* drops — similarity edges between shards — the
-//! **cross-shard refinement pass** ([`crate::refine`]) recovers: after the
-//! parallel per-shard rounds, the boundary pairs the per-shard graphs cannot
-//! see are computed once, cached, and a global repair runs the trained
-//! merge/split passes over the global view, so the refined clustering
-//! ([`Sharded::refined_clustering`]) is quality-equivalent to the
-//! unsharded engine instead of silently lossy.  Every multi-shard engine
-//! refines; `tests/shard_quality.rs` pins the refined pair sets against the
-//! unsharded engine's.
-//!
-//! With **one** shard nothing is dropped and nothing is renumbered: the
-//! sub-batch is the input batch, the namespace base is 0, and the sharded
-//! engine is bit-identical to an unsharded [`Engine`] — clusterings
-//! (including cluster ids), stats, and comparison counters.  This is pinned
-//! by `tests/sharded_equivalence.rs`.
+//! What the partition drops — similarity edges between shards — the
+//! cross-shard refiner ([`crate::refine`]) recovers: its global view is an
+//! [`Engine`] over every record, so the refined clustering
+//! ([`Sharded::refined_clustering`]) is pair-identical to the unsharded
+//! engine's (`tests/shard_quality.rs`).  With **one** shard nothing is
+//! dropped or renumbered, and the sharded engine is bit-identical to an
+//! unsharded [`Engine`] — clusterings, stats, and comparison counters
+//! (`tests/sharded_equivalence.rs`).
 //!
 //! ## Durable sharding
 //!
 //! [`ShardedDurableEngine`] gives every shard its own WAL + snapshot
-//! directory (`shard-000/`, `shard-001/`, …) wrapped in a [`DurableEngine`],
-//! plus a `refine/` directory whose WAL logs every round's full batch.  Its
-//! round logs before it applies: one commit step, shared with the pipelined
+//! directory (`shard-000/`, …), plus a `refine/` directory whose WAL logs
+//! every round's full batch.  One commit step, shared with the pipelined
 //! front-end ([`crate::pipeline`]), stages every shard's sub-batch and seals
-//! the round on the refine WAL, which is the commit point (with one shard,
-//! the shard's own WAL is — a durable single engine is N = 1).  Recovery
-//! reads the committed round from it, reopens each shard capped there —
-//! shards that logged a never-acknowledged round are physically rolled
-//! back — and heals shards that fell short by re-routing the logged
-//! batches, keeping all shards bit-identical to a never-restarted sharded
-//! run.  Checkpoints are driven globally (after a round has completed on
-//! every shard), never by the shards themselves, so no snapshot can ever
-//! get ahead of the committed round.
+//! the round on the refine WAL, the commit point (with one shard, the
+//! shard's own WAL is).  Recovery reopens each shard capped at the committed
+//! round — rolling back never-acknowledged rounds — and heals shards that
+//! fell short by re-routing the logged batches.  Checkpoints are driven
+//! globally after a round completed on every shard, so no snapshot can get
+//! ahead of the committed round.
 
 use crate::config::DynamicCStats;
-use crate::durable::{tail_segment, DurabilityOptions, RecoveryReport};
+use crate::durable::{tail_segment, DurabilityOptions, EngineState, RecoveryReport};
 use crate::dynamic::DynamicC;
 use crate::engine::{Engine, RoundReport};
 use crate::pipeline::lock_unpoisoned;
-use crate::refine::{CrossShardRefiner, RefineReport, RefineState};
+use crate::refine::{CrossShardRefiner, RefineReport};
 use crate::DurableEngine;
-use dc_similarity::persist::GraphState;
+use dc_similarity::GraphState;
 use dc_similarity::{GraphConfig, RoutedBatch, ShardRouter, SimilarityGraph};
 use dc_storage::wal::list_segments;
 use dc_storage::{Snapshotter, StorageError, Wal};
@@ -205,27 +191,19 @@ fn check_shard_count(n_shards: usize) -> Result<(), ShardConfigError> {
     Ok(())
 }
 
-/// The per-shard bootstrap state produced by [`partition_state`].
-struct ShardSeed {
-    graph: SimilarityGraph,
-    clustering: Clustering,
-}
+/// One shard's bootstrap `(graph, clustering)`.
+type ShardSeed = (SimilarityGraph, Clustering);
 
-/// Everything a partition computes besides the seeds themselves.
-struct Partition {
-    seeds: Vec<ShardSeed>,
-    assignment: BTreeMap<ObjectId, usize>,
-}
-
-/// Deterministically split one `(graph, clustering)` into per-shard seeds:
-/// records by routing key, edges surviving only within a shard, clusters
-/// kept verbatim when they land whole in one shard and re-created with
-/// fresh shard-tagged ids when the router splits them.
+/// Deterministically split one `(graph, clustering)` into per-shard seeds
+/// and the object → shard assignment: records by routing key, edges
+/// surviving only within a shard, clusters kept verbatim when they land
+/// whole in one shard and re-created with fresh shard-tagged ids when the
+/// router splits them.
 fn partition_state(
     router: &ShardRouter,
     graph: &SimilarityGraph,
     clustering: &Clustering,
-) -> Result<Partition, ShardConfigError> {
+) -> Result<(Vec<ShardSeed>, BTreeMap<ObjectId, usize>), ShardConfigError> {
     let n = router.n_shards();
     check_shard_count(n)?;
     let watermark = clustering.id_watermark();
@@ -307,25 +285,24 @@ fn partition_state(
         let shard_graph = SimilarityGraph::import_state(config.clone(), state)
             // dc-lint: allow(R1) reason="construction invariant: the state was filtered from a valid exported graph (records routed whole, edges kept only intra-shard), so re-import cannot fail"
             .expect("partitioned state is well-formed by construction");
-        seeds.push(ShardSeed {
-            graph: shard_graph,
-            clustering: shard_clustering,
-        });
+        seeds.push((shard_graph, shard_clustering));
     }
-    Ok(Partition { seeds, assignment })
+    Ok((seeds, assignment))
 }
 
 /// Distribute one trained [`DynamicC`] across `n` shards: shard 0 inherits
 /// the donor (with its training statistics), the others carry the same
 /// models with zeroed counters — so the merged statistics stay the plain
-/// sum of the per-shard ones, continuous with the donor's history.
-fn distribute_dynamicc(donor: DynamicC, n: usize) -> Vec<DynamicC> {
+/// sum of the per-shard ones, continuous with the donor's history.  One
+/// more zeroed copy is returned beside them for the cross-shard refiner.
+fn distribute_dynamicc(donor: DynamicC, n: usize) -> (Vec<DynamicC>, DynamicC) {
     let mut fresh = donor.clone();
     fresh.restore_stats(DynamicCStats::default());
-    std::iter::once(donor)
-        .chain(std::iter::repeat(fresh))
+    let shards = std::iter::once(donor)
+        .chain(std::iter::repeat(fresh.clone()))
         .take(n)
-        .collect()
+        .collect();
+    (shards, fresh)
 }
 
 /// Map `f` over `items` on a scoped thread pool of at most `max_threads`
@@ -423,10 +400,11 @@ fn record_batch_imbalance(sub_batches: &[OperationBatch]) {
     );
 }
 
-/// Map `f` over `items` on [`parallel_chunks`]'s pool.  The refinement
-/// pass uses this to refresh model flags region-parallel; `f` must be a
-/// pure function of its item for the fan-out to stay deterministic.  Small
-/// inputs (or `max_threads <= 1`) run inline with no thread overhead.
+/// Map `f` over `items` on [`parallel_chunks`]'s pool.  An engine's repair
+/// uses this to refresh model flags region-parallel, once per round; `f`
+/// must be a pure function of its item for the fan-out to stay
+/// deterministic.  Small inputs (or `max_threads <= 1`) run inline with no
+/// thread overhead.
 pub(crate) fn parallel_map<T: Sync, R: Send>(
     items: &[T],
     max_threads: usize,
@@ -459,15 +437,7 @@ fn merge_round_reports(
 ) -> ShardedRoundReport {
     let mut merged = RoundReport {
         round,
-        operations: 0,
-        isolated: 0,
-        objects: 0,
-        clusters: 0,
-        merges_applied: 0,
-        splits_applied: 0,
-        objective_evaluations: 0,
-        full_aggregate_builds: 0,
-        score: 0.0,
+        ..RoundReport::default()
     };
     for r in &per_shard {
         merged.operations += r.operations;
@@ -655,26 +625,20 @@ impl<S: Shard> Sharded<S> {
                 poisoned.into_inner()
             }
         };
-        let report = refiner.fold_round(
-            batch,
-            &routed.op_shards,
-            self.shards[0].engine().dynamicc(),
-            self.max_threads,
-        );
+        let report = refiner.fold_round(batch, &routed.op_shards, self.max_threads);
         span.finish();
         Ok(Some(report))
     }
 
     /// The round fold for the pipelined refine worker's own thread: the
-    /// shared refiner with shard 0's pass configuration (`None` with one
-    /// shard).  Like the read accessors it takes the lock regardless of
-    /// poisoning; the checkpoint refuses a torn view.
+    /// shared refiner (`None` with one shard).  Like the read accessors it
+    /// takes the lock regardless of poisoning; the checkpoint refuses a torn
+    /// view.
     pub(crate) fn detached_fold(&self) -> Option<impl Fn(&OperationBatch, &[usize]) + Send> {
         let refiner = Arc::clone(self.refiner.as_ref()?);
-        let dynamicc = self.shards[0].engine().dynamicc().clone();
         let max_threads = self.max_threads;
         Some(move |batch: &OperationBatch, op_shards: &[usize]| {
-            lock_unpoisoned(&refiner).fold_round(batch, op_shards, &dynamicc, max_threads);
+            lock_unpoisoned(&refiner).fold_round(batch, op_shards, max_threads);
         })
     }
 
@@ -724,12 +688,10 @@ impl<S: Shard> Sharded<S> {
             .map(|r| lock_unpoisoned(r).last_report())
     }
 
-    /// Diagnostic mode: make the refinement pass re-run the full global
-    /// fixed point every round instead of restricting repair to the dirty
-    /// regions the round's operations touched.  Both modes produce the same
-    /// refined clustering — full repair just pays the pre-incremental serial
-    /// cost, which `tests/incremental_refine.rs` uses as the reference the
-    /// dirty-region path is checked against.  No-op with one shard.
+    /// Reference mode: make the refiner run the unscoped fixed point over
+    /// every cluster every round.  Both modes produce the same refined
+    /// clustering; `tests/incremental_refine.rs` checks the scoped repair
+    /// against it.  No-op with one shard.
     pub fn set_full_repair(&mut self, full_repair: bool) {
         if let Some(refiner) = &self.refiner {
             lock_unpoisoned(refiner).set_full_repair(full_repair);
@@ -841,21 +803,22 @@ impl Sharded<Engine> {
         dynamicc: DynamicC,
     ) -> Result<Self, ShardConfigError> {
         let n = router.n_shards();
-        let partition = partition_state(&router, &graph, &clustering)?;
-        let shards: Vec<Engine> = partition
-            .seeds
+        let (seeds, assignment) = partition_state(&router, &graph, &clustering)?;
+        let (dynamiccs, refine_dynamicc) = distribute_dynamicc(dynamicc, n);
+        let shards: Vec<Engine> = seeds
             .into_iter()
-            .zip(distribute_dynamicc(dynamicc, n))
-            .map(|(seed, d)| Engine::new(seed.graph, seed.clustering, d))
+            .zip(dynamiccs)
+            .map(|((graph, clustering), d)| Engine::new(graph, clustering, d))
             .collect();
         let engines: Vec<&Engine> = shards.iter().collect();
+        let config = graph.config().clone();
         let refiner = (n > 1)
-            .then(|| CrossShardRefiner::build(&engines, &partition.assignment, n))
+            .then(|| CrossShardRefiner::build(&engines, &assignment, config, refine_dynamicc, n))
             .transpose()?;
         Ok(Sharded {
             shards,
             router,
-            assignment: partition.assignment,
+            assignment,
             rounds_served: 0,
             max_threads: n,
             refiner: refiner.map(|r| Arc::new(Mutex::new(r))),
@@ -1065,7 +1028,7 @@ impl Sharded<DurableEngine> {
             _ => None,
         };
 
-        let dynamiccs = distribute_dynamicc(dynamicc, n);
+        let (dynamiccs, refine_dynamicc) = distribute_dynamicc(dynamicc, n);
         let mut shards = Vec::with_capacity(n);
         let mut report = ShardedRecoveryReport {
             per_shard: Vec::with_capacity(n),
@@ -1103,14 +1066,14 @@ impl Sharded<DurableEngine> {
             }
             None => {
                 let (graph, clustering) = bootstrap();
-                let partition = partition_state(&router, &graph, &clustering)
+                let (seeds, _) = partition_state(&router, &graph, &clustering)
                     .map_err(|e| StorageError::Inconsistent(e.to_string()))?;
-                for ((shard, seed), d) in partition.seeds.into_iter().enumerate().zip(dynamiccs) {
+                for ((shard, seed), d) in seeds.into_iter().enumerate().zip(dynamiccs) {
                     let (engine, shard_report) = DurableEngine::open(
                         &shard_dir(dir, shard),
                         graph_config.clone(),
                         d,
-                        move || (seed.graph, seed.clustering),
+                        move || seed,
                     )?;
                     let served = engine.engine().rounds_served();
                     if served != 0 {
@@ -1132,7 +1095,7 @@ impl Sharded<DurableEngine> {
             let refine = Self::open_refine(
                 dir,
                 &router,
-                &graph_config,
+                (&graph_config, refine_dynamicc),
                 &mut shards,
                 &assignment,
                 &mut report,
@@ -1179,9 +1142,8 @@ impl Sharded<DurableEngine> {
     /// Bring the `refine/` directory to the committed round: on a fresh open
     /// build the refiner from the freshly partitioned shards and write its
     /// initial snapshot; on recovery load the latest refine snapshot and
-    /// replay the logged batch tail through the same pass the original run
-    /// performed (recomputing pair similarities against the restored mirror,
-    /// which reproduces it bit-for-bit — see [`crate::refine`]).
+    /// replay the logged batch tail through the same fold the original run
+    /// performed, which reproduces it bit-for-bit (see [`crate::refine`]).
     ///
     /// The replay doubles as the **healing pass** for group-commit mode:
     /// each replayed round is re-routed, and any shard whose recovered state
@@ -1192,7 +1154,7 @@ impl Sharded<DurableEngine> {
     fn open_refine(
         dir: &Path,
         router: &ShardRouter,
-        graph_config: &GraphConfig,
+        (graph_config, dynamicc): (&GraphConfig, DynamicC),
         shards: &mut [DurableEngine],
         assignment: &BTreeMap<ObjectId, usize>,
         report: &mut ShardedRecoveryReport,
@@ -1202,48 +1164,41 @@ impl Sharded<DurableEngine> {
         let committed = report.committed_round;
         if !report.recovered {
             let engines: Vec<&Engine> = shards.iter().map(DurableEngine::engine).collect();
-            let refiner = CrossShardRefiner::build(&engines, assignment, router.n_shards())
-                .map_err(|e| StorageError::Inconsistent(e.to_string()))?;
-            snapshotter.write(0, &refiner.snapshot_ref())?;
+            let refiner = CrossShardRefiner::build(
+                &engines,
+                assignment,
+                graph_config.clone(),
+                dynamicc,
+                router.n_shards(),
+            )
+            .map_err(|e| StorageError::Inconsistent(e.to_string()))?;
+            snapshotter.write(0, &refiner.snapshot())?;
             let wal = Wal::create(&refine_root, 0)?;
             return Ok((refiner, RefineLog { wal, snapshotter }));
         }
 
-        let Some((snapshot_round, state)) = snapshotter.load_latest::<RefineState>()? else {
+        let Some((snapshot_round, state)) = snapshotter.load_latest::<EngineState>()? else {
             return Err(StorageError::Inconsistent(format!(
                 "{} holds recovered shards but no refine snapshot",
                 refine_root.display()
             )));
         };
-        if snapshot_round > committed {
+        if snapshot_round > committed || state.rounds_served() != snapshot_round {
             return Err(StorageError::Inconsistent(format!(
-                "refine snapshot at round {snapshot_round} exceeds the committed \
-                 round {committed}"
+                "refine snapshot at round {snapshot_round} (recording round {}) does not \
+                 fit the committed round {committed}",
+                state.rounds_served()
             )));
         }
-        let mut refiner =
-            CrossShardRefiner::import_state(graph_config.clone(), state).map_err(|source| {
-                StorageError::Codec {
-                    path: refine_root
-                        .join(dc_storage::snapshot::snapshot_file_name(snapshot_round)),
-                    source,
-                }
+        let mut refiner = CrossShardRefiner::restore(state, graph_config.clone(), dynamicc)
+            .map_err(|source| StorageError::Codec {
+                path: refine_root.join(dc_storage::snapshot::snapshot_file_name(snapshot_round)),
+                source,
             })?;
 
         // Replay the refine WAL tail: re-route each logged batch from the
         // snapshot's sticky assignment, heal any shard the round outran,
-        // and run the same pass again.  The pass configuration is shard 0's
-        // (all shards carry an identical one — validated at construction).
-        let dynamicc = shards
-            .first()
-            .ok_or_else(|| {
-                StorageError::Inconsistent(
-                    "refine directory present but no shards were recovered".into(),
-                )
-            })?
-            .engine()
-            .dynamicc()
-            .clone();
+        // and run the same fold again.
         let mut healed = vec![false; shards.len()];
         let mut replay_assignment = refiner.shard_map();
         let mut replay_round = snapshot_round;
@@ -1277,12 +1232,7 @@ impl Sharded<DurableEngine> {
                         report.healed_rounds += 1;
                     }
                 }
-                refiner.fold_round(
-                    &record.batch,
-                    &routed.op_shards,
-                    &dynamicc,
-                    router.n_shards(),
-                );
+                refiner.fold_round(&record.batch, &routed.op_shards, router.n_shards());
                 replay_round = record.round;
                 report.refine_replayed_rounds += 1;
             }
@@ -1402,7 +1352,7 @@ impl Sharded<DurableEngine> {
         let round = self.rounds_served as u64;
         if let (Some(refiner), Some(refine)) = (&self.refiner, &mut self.log.refine) {
             let refiner = refiner.lock().map_err(|_| torn_refiner())?;
-            refine.snapshotter.write(round, &refiner.snapshot_ref())?;
+            refine.snapshotter.write(round, &refiner.snapshot())?;
             if refine.wal.start_round() != round {
                 refine.wal = Wal::create(refine.snapshotter.dir(), round)?;
             }
@@ -1617,34 +1567,46 @@ mod tests {
         assert!(err.to_string().contains("reserved"));
     }
 
-    /// Satellite pin: writing a refine checkpoint must not clone the refined
-    /// clustering (the historical `export_state` path cloned it — O(V) — on
+    /// Satellite pin: writing a shard or refine checkpoint must not clone a
+    /// clustering (the historical owned snapshots cloned it — O(V) — on
     /// every checkpoint) nor rebuild aggregates, and the borrowed encoder's
-    /// bytes must equal the owned state's encoding exactly.
+    /// bytes must equal the owned decoded state's encoding exactly.
     #[test]
     fn checkpoint_snapshot_is_clone_free_and_byte_identical() {
+        use crate::durable::EngineState;
         use dc_similarity::BuildCounter;
         use dc_types::codec::BinCodec;
 
         let (graph, clustering, dynamicc) = toy_setup();
         let router = ShardRouter::new(2, Box::new(ExhaustiveBlocking::new()));
-        let engine = ShardedEngine::new(router, graph, clustering, dynamicc).unwrap();
+        let mut engine = ShardedEngine::new(router, graph, clustering, dynamicc).unwrap();
+        let mut batch = OperationBatch::new();
+        batch.push(Operation::Remove { id: oid(4) });
+        engine.apply_round(&batch);
         let refiner = engine.refiner.as_ref().expect("two shards refine");
         let refiner = refiner.lock().unwrap();
 
-        let owned = refiner.export_state().encode_to_vec();
-        let clones_before = dc_types::clustering_clone_count();
-        let (borrowed, builds) = BuildCounter::scope(|| refiner.snapshot_ref().encode_to_vec());
-        assert_eq!(
-            dc_types::clustering_clone_count() - clones_before,
-            0,
-            "snapshot_ref must not clone the refined clustering"
-        );
-        assert_eq!(builds, 0, "snapshot_ref must not rebuild aggregates");
-        assert_eq!(
-            borrowed, owned,
-            "borrowed and owned snapshot encodings must be byte-identical"
-        );
+        let shard_snapshots = engine.shards().iter().map(Engine::snapshot);
+        for snapshot in shard_snapshots.chain([refiner.snapshot()]) {
+            let clones_before = dc_types::clustering_clone_count();
+            let (borrowed, builds) = BuildCounter::scope(|| snapshot.encode_to_vec());
+            assert_eq!(
+                dc_types::clustering_clone_count() - clones_before,
+                0,
+                "the borrowed snapshot must not clone the clustering"
+            );
+            assert_eq!(
+                builds, 0,
+                "the borrowed snapshot must not rebuild aggregates"
+            );
+            let owned = EngineState::decode_exact(&borrowed)
+                .unwrap()
+                .encode_to_vec();
+            assert_eq!(
+                borrowed, owned,
+                "borrowed and owned snapshot encodings must be byte-identical"
+            );
+        }
     }
 
     /// Satellite pin: user-reachable degenerate inputs on the serving path —
@@ -1711,9 +1673,11 @@ mod tests {
                 ..crate::DynamicCConfig::default()
             },
         );
-        let e0 = Engine::new(g0, c0, d0);
+        let config = g0.config().clone();
+        let e0 = Engine::new(g0, c0, d0.clone());
         let e1 = Engine::new(g1, c1, divergent);
-        let err = CrossShardRefiner::build(&[&e0, &e1], &BTreeMap::new(), 2).unwrap_err();
+        let err =
+            CrossShardRefiner::build(&[&e0, &e1], &BTreeMap::new(), config, d0, 2).unwrap_err();
         assert_eq!(err, ShardConfigError::MismatchedDynamicCConfig { shard: 1 });
         assert!(err.to_string().contains("shard 1"), "got: {err}");
     }
@@ -1725,10 +1689,11 @@ mod tests {
     fn assignment_naming_a_missing_object_is_a_typed_error() {
         let (g0, c0, d0) = toy_setup();
         let (g1, c1, d1) = toy_setup();
-        let e0 = Engine::new(g0, c0, d0);
+        let config = g0.config().clone();
+        let e0 = Engine::new(g0, c0, d0.clone());
         let e1 = Engine::new(g1, c1, d1);
         let assignment: BTreeMap<ObjectId, usize> = [(oid(99), 0usize)].into_iter().collect();
-        let err = CrossShardRefiner::build(&[&e0, &e1], &assignment, 2).unwrap_err();
+        let err = CrossShardRefiner::build(&[&e0, &e1], &assignment, config, d0, 2).unwrap_err();
         assert_eq!(
             err,
             ShardConfigError::AssignedObjectMissing {
@@ -1762,15 +1727,17 @@ mod tests {
         // Shard 0's graph holds object 1 but its clustering does not — the
         // graph/clustering disagreement the historical code panicked on —
         // while the measure recovers a cross-shard edge 1–2.
+        let config = make_graph(1).config().clone();
         let e0 = Engine::new(make_graph(1), Clustering::new(), dynamicc.clone());
         let e1 = Engine::new(
             make_graph(2),
             Clustering::from_groups([vec![oid(2)]]).unwrap(),
-            dynamicc,
+            dynamicc.clone(),
         );
         let assignment: BTreeMap<ObjectId, usize> =
             [(oid(1), 0usize), (oid(2), 1usize)].into_iter().collect();
-        let err = CrossShardRefiner::build(&[&e0, &e1], &assignment, 2).unwrap_err();
+        let err =
+            CrossShardRefiner::build(&[&e0, &e1], &assignment, config, dynamicc, 2).unwrap_err();
         assert_eq!(err, ShardConfigError::UnclusteredObject { id: oid(1) });
         assert!(err.to_string().contains("cluster"), "got: {err}");
     }

@@ -27,66 +27,14 @@ use std::collections::BTreeSet;
 /// duplicate build (one aggregate per candidate ranking, discarded and
 /// rebuilt per candidate even when the clustering had not changed): the pass
 /// performs **zero** full aggregate builds.
-pub(crate) fn split_pass(
-    graph: &SimilarityGraph,
-    clustering: &mut Clustering,
-    agg: &mut ClusterAggregates,
-    objective: &dyn ObjectiveFunction,
-    models: &ModelPair,
-    theta_scale: f64,
-    stats: &mut DynamicCStats,
-) -> bool {
-    split_pass_impl(
-        graph,
-        clustering,
-        agg,
-        objective,
-        models,
-        theta_scale,
-        stats,
-        None,
-        None,
-    )
-}
-
-/// The candidate-restricted entry point of the split pass, used by the
-/// incremental cross-shard refiner.  Flags come from the scope's cache
-/// (identical values to what the full pass computes); flagged clusters
-/// outside the evaluation set are skipped without evaluation — their split
-/// rejection from the previous fixed point still stands.  Applied splits
-/// grow the evaluation set through [`PassScope::after_split`].  The
-/// unsharded serving path never calls this.
 ///
-/// `global_score` mirrors [`crate::merge::merge_pass_scoped`]: the running
-/// score of a global-mean objective, gating clean skips on the recorded
-/// split-rejection ceilings and kept current across applied splits.
+/// With a `scope` — every [`Engine`](crate::Engine) round — flagged
+/// clusters outside the evaluation set are skipped without evaluation: their
+/// split rejection from the previous fixed point still stands.  Applied
+/// splits grow the evaluation set ([`PassScope::after_split`]).
+/// `global_score` mirrors [`crate::merge::merge_pass`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn split_pass_scoped(
-    graph: &SimilarityGraph,
-    clustering: &mut Clustering,
-    agg: &mut ClusterAggregates,
-    objective: &dyn ObjectiveFunction,
-    models: &ModelPair,
-    theta_scale: f64,
-    stats: &mut DynamicCStats,
-    scope: &mut PassScope,
-    global_score: Option<&mut f64>,
-) -> bool {
-    split_pass_impl(
-        graph,
-        clustering,
-        agg,
-        objective,
-        models,
-        theta_scale,
-        stats,
-        Some(scope),
-        global_score,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn split_pass_impl(
+pub(crate) fn split_pass(
     graph: &SimilarityGraph,
     clustering: &mut Clustering,
     agg: &mut ClusterAggregates,
@@ -218,6 +166,8 @@ mod tests {
             &models,
             1.0,
             &mut stats,
+            None,
+            None,
         );
         assert!(changed);
         assert_eq!(clustering.cluster_count(), 2);
@@ -245,6 +195,8 @@ mod tests {
             &models,
             1.0,
             &mut stats,
+            None,
+            None,
         );
         assert!(!changed);
         assert_eq!(clustering.cluster_count(), 1);
@@ -267,6 +219,8 @@ mod tests {
             &models,
             1.0,
             &mut stats,
+            None,
+            None,
         );
         assert!(!changed);
         assert_eq!(stats.split_candidates, 0);
@@ -293,6 +247,8 @@ mod tests {
                 &models,
                 1.0,
                 &mut stats,
+                None,
+                None,
             )
         });
         assert!(changed);
@@ -318,6 +274,8 @@ mod tests {
             &models,
             1.0,
             &mut stats,
+            None,
+            None,
         );
         assert_eq!(clustering.cluster_count(), 2);
         split_pass(
@@ -328,6 +286,8 @@ mod tests {
             &models,
             1.0,
             &mut stats,
+            None,
+            None,
         );
         assert_eq!(clustering.cluster_count(), 3);
         assert_eq!(clustering.cluster_of(oid(1)), clustering.cluster_of(oid(2)));

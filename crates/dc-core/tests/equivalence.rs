@@ -8,18 +8,23 @@
 //!    *identical* clustering and `DynamicCStats` counters as serving with the
 //!    rebuild-per-delta slow path ([`SlowPathObjective`]);
 //! 2. the persistent [`Engine`] round loop produces the identical clustering
-//!    as the stateless `DynamicC::recluster`, with **zero** full aggregate
-//!    builds per round (recluster itself performs exactly one);
+//!    and applied merges and splits as the stateless `DynamicC::recluster`
+//!    on both objective families, with **zero** full aggregate builds per
+//!    round (recluster itself performs exactly one) and, thanks to its
+//!    scoped passes, no more objective evaluations or rejections;
 //! 3. the served clustering and counters are pinned as golden values, so any
 //!    behavioural drift in the serving path fails loudly.
 
+mod common;
+
 use dc_baselines::IncrementalClusterer;
 use dc_batch::{BatchClusterer, HillClimbing};
-use dc_core::{train_on_workload, DynamicC, Engine};
-use dc_datagen::fixtures::small_febrl_workload;
-use dc_objective::{DbIndexObjective, ObjectiveFunction, SlowPathObjective};
+use dc_core::{train_on_workload, DynamicC, DynamicCStats, Engine};
+use dc_datagen::fixtures::{small_access_workload, small_febrl_workload};
+use dc_datagen::DynamicWorkload;
+use dc_objective::{CorrelationObjective, DbIndexObjective, ObjectiveFunction, SlowPathObjective};
 use dc_similarity::{BuildCounter, GraphConfig, SimilarityGraph};
-use dc_types::{Clustering, Snapshot};
+use dc_types::{Clustering, Operation, OperationBatch, Snapshot};
 use std::sync::Arc;
 
 const TRAIN_ROUNDS: usize = 2;
@@ -104,34 +109,106 @@ fn fast_and_slow_objective_paths_produce_identical_clusterings_and_stats() {
     );
 }
 
-#[test]
-fn engine_rounds_match_recluster_exactly() {
-    let (mut graph_a, prev_a, serve, mut via_recluster) = trained_setup(Arc::new(DbIndexObjective));
-    let (graph_b, prev_b, _, via_engine) = trained_setup(Arc::new(DbIndexObjective));
+/// The work and outcome counters of a span of serving, as field-wise
+/// differences of two cumulative snapshots.
+fn stats_delta(before: &DynamicCStats, after: &DynamicCStats) -> [u64; 5] {
+    [
+        (after.merges_applied - before.merges_applied) as u64,
+        (after.splits_applied - before.splits_applied) as u64,
+        after.objective_evaluations - before.objective_evaluations,
+        (after.merges_rejected - before.merges_rejected) as u64,
+        (after.splits_rejected - before.splits_rejected) as u64,
+    ]
+}
 
-    let mut engine = Engine::new(graph_b, prev_b.clone(), via_engine);
+/// Serve the held-out rounds through the [`Engine`]'s scoped round loop and,
+/// side by side, through the stateless `DynamicC::recluster` — the unscoped
+/// oracle that re-verifies every cluster — and require, round by round,
+/// identical clusterings and applied merges and splits, with the engine
+/// doing at most the oracle's evaluations and rejections.  In at least one
+/// round it must do strictly fewer evaluations, or it is not scoped at all.
+fn check_engine_matches_recluster(
+    tag: &str,
+    workload: &DynamicWorkload,
+    graph_config: impl Fn() -> GraphConfig + Copy,
+    objective: Arc<dyn ObjectiveFunction>,
+) {
+    let (mut graph_a, prev_a, serve, mut via_recluster) =
+        common::trained_setup(workload, graph_config, objective.clone(), TRAIN_ROUNDS);
+    let (graph_b, prev_b, _, via_engine) =
+        common::trained_setup(workload, graph_config, objective, TRAIN_ROUNDS);
+
+    // The workload's rounds, then three small ones after them: an empty
+    // round, and one object removed and added back — rounds whose dirty
+    // closure is a sliver of the clustering.
+    let mut rounds: Vec<OperationBatch> = serve.iter().map(|s| s.batch.clone()).collect();
+    let id = graph_b.object_ids()[0];
+    let record = graph_b.record(id).unwrap().clone();
+    rounds.push(OperationBatch::new());
+    rounds.push(OperationBatch::from_ops(vec![Operation::Remove { id }]));
+    rounds.push(OperationBatch::from_ops(vec![Operation::Add {
+        id,
+        record,
+    }]));
+
+    let mut engine = Engine::new(graph_b, prev_b, via_engine);
     let mut previous = prev_a;
-    for (i, snapshot) in serve.iter().enumerate() {
-        graph_a.apply_batch(&snapshot.batch);
-        let expected = via_recluster.recluster(&graph_a, &previous, &snapshot.batch);
+    let mut saw_fewer_evaluations = false;
+    for (i, batch) in rounds.iter().enumerate() {
+        let oracle_before = *via_recluster.stats();
+        graph_a.apply_batch(batch);
+        let expected = via_recluster.recluster(&graph_a, &previous, batch);
+        let oracle = stats_delta(&oracle_before, via_recluster.stats());
 
-        let report = engine.apply_round(&snapshot.batch);
+        let engine_before = *engine.stats();
+        let report = engine.apply_round(batch);
+        let scoped = stats_delta(&engine_before, engine.stats());
+
         assert!(
             engine.clustering().delta(&expected).is_unchanged(),
-            "round {i}: engine and recluster diverged"
+            "{tag}: round {i}: engine and recluster diverged"
         );
         assert_eq!(
             report.full_aggregate_builds, 0,
-            "round {i}: the engine must not rebuild aggregates"
+            "{tag}: round {i}: the engine must not rebuild aggregates"
         );
         assert_eq!(report.objects, expected.object_count());
         assert_eq!(report.clusters, expected.cluster_count());
+        assert_eq!(
+            scoped[..2],
+            oracle[..2],
+            "{tag}: round {i}: merges and splits applied"
+        );
+        for (field, (s, o)) in ["evaluations", "merge rejections", "split rejections"]
+            .iter()
+            .zip(scoped[2..].iter().zip(&oracle[2..]))
+        {
+            assert!(s <= o, "{tag}: round {i}: scoped {field} {s} > oracle {o}");
+        }
+        saw_fewer_evaluations |= scoped[2] < oracle[2];
         previous = expected;
     }
-    // Identical decisions imply identical counters (the engine's DynamicC
-    // observed the same training rounds).
-    assert_eq!(engine.stats(), via_recluster.stats());
-    assert_eq!(engine.rounds_served(), serve.len());
+    assert!(
+        saw_fewer_evaluations,
+        "{tag}: the engine never evaluated less than the unscoped oracle"
+    );
+    assert_eq!(engine.rounds_served(), rounds.len());
+}
+
+#[test]
+fn engine_rounds_match_recluster_exactly() {
+    check_engine_matches_recluster(
+        "febrl",
+        &small_febrl_workload(),
+        || GraphConfig::textual_febrl(0.6),
+        Arc::new(DbIndexObjective),
+    );
+    check_engine_matches_recluster(
+        "access",
+        &small_access_workload(),
+        || GraphConfig::numeric_euclidean(1.8, 4.0, 3, 0.25),
+        Arc::new(CorrelationObjective),
+    );
 }
 
 #[test]

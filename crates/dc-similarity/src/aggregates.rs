@@ -24,7 +24,7 @@
 //!   members);
 //! * [`ClusterAggregates::apply_move`] — O(degree of the moved object +
 //!   neighbour clusters of its source and target);
-//! * [`ClusterAggregates::apply_batch`] — O(Σ degree of the touched objects).
+//! * [`ClusterAggregates::apply_op`] — O(degree of the touched object).
 //!
 //! Merges, splits and moves are computed as an [`AggregateEdit`] first — the
 //! full after-state of every cluster the change replaces — and then
@@ -56,6 +56,16 @@ use std::sync::{Arc, OnceLock};
 /// similarity, so a residue this small can only be floating-point noise left
 /// behind by an incremental update.
 const RESIDUE_EPSILON: f64 = 1e-9;
+
+/// What [`ClusterAggregates::apply_op`] did with one operation.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct AppliedOp {
+    /// Whether the object entered the clustering as a fresh singleton.
+    pub isolated: bool,
+    /// The live candidates the op's new record was compared against, in id
+    /// order (see [`SimilarityGraph::add_object`]); empty for a removal.
+    pub compared: Vec<ObjectId>,
+}
 
 /// Telemetry counter name under which full O(E) builds are counted.
 ///
@@ -709,59 +719,71 @@ impl ClusterAggregates {
 
     /// Apply one round's operations to the graph, the clustering, and the
     /// aggregates in lockstep, mirroring the initial-processing step (§6.1):
-    /// added and updated objects enter as fresh singleton clusters, removed
-    /// objects leave the clustering, and every change is folded into the
-    /// aggregates at O(degree) per operation.  Returns the ids that were
-    /// newly isolated (the same contract as `prepare_working_clustering`).
+    /// see [`ClusterAggregates::apply_op`].  Returns the ids that were newly
+    /// isolated (the same contract as `prepare_working_clustering`).
     pub fn apply_batch(
         &mut self,
         graph: &mut SimilarityGraph,
         clustering: &mut Clustering,
         batch: &OperationBatch,
     ) -> Vec<ObjectId> {
+        batch
+            .iter()
+            .filter(|op| self.apply_op(graph, clustering, op).isolated)
+            .map(Operation::object_id)
+            .collect()
+    }
+
+    /// Apply one operation to the graph, the clustering, and the aggregates
+    /// in lockstep: an added or updated object enters as a fresh singleton
+    /// cluster (a re-added live object keeps its cluster, its edges
+    /// replaced), a removed object leaves the clustering, and the change is
+    /// folded into the aggregates at O(degree).
+    pub fn apply_op(
+        &mut self,
+        graph: &mut SimilarityGraph,
+        clustering: &mut Clustering,
+        op: &Operation,
+    ) -> AppliedOp {
         self.memo.take();
-        let mut isolated = Vec::new();
-        for op in batch.iter() {
-            match op {
-                Operation::Add { id, record } => {
-                    if let Some(cid) = clustering.cluster_of(*id) {
-                        // Re-add of a live object: its edges are replaced but
-                        // — matching initial processing, which ignores adds of
-                        // already-clustered objects — it keeps its cluster.
-                        self.apply_remove(graph, clustering, *id, cid);
-                        graph.add_object(*id, record.clone());
-                        self.apply_add(graph, clustering, *id);
-                    } else {
-                        graph.add_object(*id, record.clone());
-                        let _ = clustering.create_cluster([*id]).expect("fresh object");
-                        self.apply_add(graph, clustering, *id);
-                        isolated.push(*id);
-                    }
-                }
-                Operation::Remove { id } => {
-                    if let Some(cid) = clustering.cluster_of(*id) {
-                        self.apply_remove(graph, clustering, *id, cid);
-                        clustering.remove_object(*id).expect("object present");
-                    }
-                    graph.remove_object(*id);
-                }
-                Operation::Update { id, record } => {
-                    if let Some(cid) = clustering.cluster_of(*id) {
-                        self.apply_remove(graph, clustering, *id, cid);
-                        clustering.remove_object(*id).expect("object present");
-                    }
-                    graph.update_object(*id, record.clone());
-                    if graph.contains(*id) {
-                        let _ = clustering
-                            .create_cluster([*id])
-                            .expect("object just removed");
-                        self.apply_add(graph, clustering, *id);
-                        isolated.push(*id);
-                    }
+        let mut applied = AppliedOp::default();
+        match op {
+            Operation::Add { id, record } => {
+                if let Some(cid) = clustering.cluster_of(*id) {
+                    // Re-add of a live object: its edges are replaced but —
+                    // matching initial processing, which ignores adds of
+                    // already-clustered objects — it keeps its cluster.
+                    self.apply_remove(graph, clustering, *id, cid);
+                    applied.compared = graph.add_object(*id, record.clone());
+                    self.apply_add(graph, clustering, *id);
+                } else {
+                    applied.compared = graph.add_object(*id, record.clone());
+                    let _ = clustering.create_cluster([*id]).expect("fresh object");
+                    self.apply_add(graph, clustering, *id);
+                    applied.isolated = true;
                 }
             }
+            Operation::Remove { id } => {
+                if let Some(cid) = clustering.cluster_of(*id) {
+                    self.apply_remove(graph, clustering, *id, cid);
+                    clustering.remove_object(*id).expect("object present");
+                }
+                graph.remove_object(*id);
+            }
+            Operation::Update { id, record } => {
+                if let Some(cid) = clustering.cluster_of(*id) {
+                    self.apply_remove(graph, clustering, *id, cid);
+                    clustering.remove_object(*id).expect("object present");
+                }
+                applied.compared = graph.add_object(*id, record.clone());
+                let _ = clustering
+                    .create_cluster([*id])
+                    .expect("object just removed");
+                self.apply_add(graph, clustering, *id);
+                applied.isolated = true;
+            }
         }
-        isolated
+        applied
     }
 
     /// Reassemble an aggregate from validated snapshot parts (see

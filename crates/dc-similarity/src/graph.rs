@@ -306,8 +306,10 @@ impl SimilarityGraph {
 
     /// Add an object and connect it to every candidate whose similarity
     /// reaches the threshold.  Adding an id that already exists replaces it
-    /// (equivalent to [`SimilarityGraph::update_object`]).
-    pub fn add_object(&mut self, id: ObjectId, record: Record) {
+    /// (equivalent to [`SimilarityGraph::update_object`]).  Returns the live
+    /// candidates the record was compared against, in id order — one per
+    /// comparison this call counted.
+    pub fn add_object(&mut self, id: ObjectId, record: Record) -> Vec<ObjectId> {
         if self.records.contains_key(&id) {
             self.remove_object(id);
         }
@@ -317,6 +319,7 @@ impl SimilarityGraph {
         let threshold = self.config.edge_threshold;
         let mut tally = ScreenTally::default();
         let mut edges: Vec<(ObjectId, f64)> = Vec::new();
+        let mut compared = Vec::new();
         for cand in candidates {
             if cand == id {
                 continue;
@@ -325,6 +328,7 @@ impl SimilarityGraph {
                 continue;
             };
             self.comparisons += 1;
+            compared.push(cand);
             let check =
                 self.config
                     .measure
@@ -341,6 +345,7 @@ impl SimilarityGraph {
             self.adj.entry(other).or_default().insert(id, sim);
             self.edge_count += 1;
         }
+        compared
     }
 
     /// Wrap a record for storage, profiling it when the measure reads text.
@@ -371,16 +376,21 @@ impl SimilarityGraph {
 
     /// Replace an object's record and recompute its edges.
     pub fn update_object(&mut self, id: ObjectId, record: Record) {
-        self.remove_object(id);
         self.add_object(id, record);
     }
 
-    /// Apply one dynamic-workload operation.
-    pub fn apply_operation(&mut self, op: &Operation) {
+    /// Apply one dynamic-workload operation.  Returns the candidates an
+    /// added or updated record was compared against (see
+    /// [`SimilarityGraph::add_object`]); empty for a removal.
+    pub fn apply_operation(&mut self, op: &Operation) -> Vec<ObjectId> {
         match op {
-            Operation::Add { id, record } => self.add_object(*id, record.clone()),
-            Operation::Remove { id } => self.remove_object(*id),
-            Operation::Update { id, record } => self.update_object(*id, record.clone()),
+            Operation::Add { id, record } | Operation::Update { id, record } => {
+                self.add_object(*id, record.clone())
+            }
+            Operation::Remove { id } => {
+                self.remove_object(*id);
+                Vec::new()
+            }
         }
     }
 

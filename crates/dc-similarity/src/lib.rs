@@ -47,7 +47,7 @@ pub mod router;
 pub mod text;
 
 pub use aggregates::{
-    full_build_count, AggregateEdit, BuildCounter, ClusterAggregates, ClusterParts,
+    full_build_count, AggregateEdit, AppliedOp, BuildCounter, ClusterAggregates, ClusterParts,
     FULL_BUILDS_COUNTER,
 };
 pub use blocking::{BlockingStrategy, GridBlocking, TokenBlocking};
